@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{single_pair, small_rand_dag};
 use mals_exact::makespan_lower_bound;
 use mals_experiments::figures::{fig11, SingleRandConfig};
-use mals_experiments::{heft_reference, sweep_absolute};
+use mals_experiments::{heft_baseline, sweep_absolute};
 use mals_sched::{Heft, MemHeft, MemMinMin, MinMin, SolveCtx};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
@@ -19,9 +19,9 @@ fn bench_fig11(c: &mut Criterion) {
 
     let graph = small_rand_dag(30, 0x5EED_0001);
     let platform = single_pair(0.0);
-    let reference = heft_reference(&graph, &platform);
+    let baseline = heft_baseline(&graph, &platform);
     let grid: Vec<f64> = (0..=10)
-        .map(|i| reference.heft_peaks.max() * i as f64 / 10.0)
+        .map(|i| baseline.peaks.max() * i as f64 / 10.0)
         .collect();
 
     group.bench_function("sweep_30_tasks_11_bounds", |b| {

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{large_rand_dag, single_pair};
-use mals_experiments::{heft_reference, sweep_absolute};
+use mals_experiments::{heft_baseline, sweep_absolute};
 use mals_sched::{Heft, MemHeft, MemMinMin, MinMin, SolveCtx};
 use std::hint::black_box;
 use std::time::Duration;
@@ -15,9 +15,9 @@ fn bench_fig13(c: &mut Criterion) {
 
     let graph = large_rand_dag(300, 0x13);
     let platform = single_pair(0.0);
-    let reference = heft_reference(&graph, &platform);
+    let baseline = heft_baseline(&graph, &platform);
     let grid: Vec<f64> = (2..=10)
-        .map(|i| reference.heft_peaks.max() * i as f64 / 10.0)
+        .map(|i| baseline.peaks.max() * i as f64 / 10.0)
         .collect();
 
     group.bench_function("sweep_300_tasks_9_bounds", |b| {

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{cholesky_fixture, mirage};
 use mals_experiments::figures::{fig15, LinalgConfig};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::{MemHeft, MemMinMin, Scheduler};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
@@ -17,8 +17,8 @@ fn bench_fig15(c: &mut Criterion) {
 
     let graph = cholesky_fixture(7);
     let platform = mirage(0.0);
-    let reference = heft_reference(&graph, &platform);
-    let bound = (0.6 * reference.heft_peaks.max()).round();
+    let baseline = heft_baseline(&graph, &platform);
+    let bound = (0.6 * baseline.peaks.max()).round();
     let bounded = platform.with_memory_bounds(bound, bound);
 
     group.bench_function("memheft_cholesky7_60pct", |b| {

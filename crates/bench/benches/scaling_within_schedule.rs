@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mals_bench::{large_rand_dag, single_pair, WITHIN_SCHEDULE_SEED, WITHIN_SCHEDULE_TASKS};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_sched::{MemHeft, MemMinMin, Scheduler};
 use mals_util::ParallelConfig;
 use std::hint::black_box;
@@ -24,8 +24,8 @@ fn bench_within_schedule(c: &mut Criterion) {
 
     let graph = large_rand_dag(WITHIN_SCHEDULE_TASKS, WITHIN_SCHEDULE_SEED);
     let platform = single_pair(0.0);
-    let reference = heft_reference(&graph, &platform);
-    let bound = 0.7 * reference.heft_peaks.max();
+    let baseline = heft_baseline(&graph, &platform);
+    let bound = 0.7 * baseline.peaks.max();
     let bounded = platform.with_memory_bounds(bound, bound);
 
     for &threads in &[1usize, 2, 4, 8] {

@@ -19,7 +19,7 @@ use mals_bench::{
 };
 use mals_dag::TaskGraph;
 use mals_exact::{solver_registry, ExactBackend, MilpBackend, SolveLimits};
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_platform::Platform;
 use mals_sched::{Engine, EngineConfig, MemHeft, MemMinMin, Scheduler};
 use mals_util::{parallel_map, ParallelConfig};
@@ -64,8 +64,8 @@ fn scheduler_bench(
 /// that the heuristics succeed.
 fn bounded_single_pair(graph: &TaskGraph) -> Platform {
     let platform = single_pair(0.0);
-    let reference = heft_reference(graph, &platform);
-    let bound = 0.7 * reference.heft_peaks.max();
+    let baseline = heft_baseline(graph, &platform);
+    let bound = 0.7 * baseline.peaks.max();
     platform.with_memory_bounds(bound, bound)
 }
 
@@ -121,8 +121,8 @@ fn benches(quick: bool) -> Vec<Bench> {
     {
         let exact_graph = small_rand_dag(10, 7);
         let platform = single_pair(0.0);
-        let reference = heft_reference(&exact_graph, &platform);
-        let bound = reference.heft_peaks.max();
+        let baseline = heft_baseline(&exact_graph, &platform);
+        let bound = baseline.peaks.max();
         let exact_platform = platform.with_memory_bounds(bound, bound);
         set.push(Bench {
             id: "exact/milp-smallrand-10".into(),
@@ -200,8 +200,8 @@ fn benches(quick: bool) -> Vec<Bench> {
         use mals_sched::{online, OnlineConfig, OnlineFlavor, ReplanPolicy, SolveCtx};
         let online_graph = large_rand_dag(2_000, 0xD1CE + 2_000);
         let platform = single_pair(0.0);
-        let reference = heft_reference(&online_graph, &platform);
-        let bound = reference.heft_peaks.max();
+        let baseline = heft_baseline(&online_graph, &platform);
+        let bound = baseline.peaks.max();
         let online_platform = platform.with_memory_bounds(bound, bound);
         let trace = ArrivalProcess::Poisson { rate: 100.0 }.generate(&online_graph, 11);
         set.push(Bench {
@@ -241,8 +241,8 @@ fn benches(quick: bool) -> Vec<Bench> {
     {
         let scaling_graph = large_rand_dag(10_000, 0xBEEF + 10_000);
         let platform = single_pair(0.0);
-        let reference = heft_reference(&scaling_graph, &platform);
-        let bound = reference.heft_peaks.max();
+        let baseline = heft_baseline(&scaling_graph, &platform);
+        let bound = baseline.peaks.max();
         let scaling_platform = platform.with_memory_bounds(bound, bound);
         set.push(Bench {
             id: "sched/memheft-10k".into(),
@@ -262,8 +262,8 @@ fn benches(quick: bool) -> Vec<Bench> {
     {
         let huge_graph = large_rand_dag(100_000, 0xBEEF + 100_000);
         let platform = single_pair(0.0);
-        let reference = heft_reference(&huge_graph, &platform);
-        let bound = reference.heft_peaks.max();
+        let baseline = heft_baseline(&huge_graph, &platform);
+        let bound = baseline.peaks.max();
         let huge_platform = platform.with_memory_bounds(bound, bound);
         set.push(Bench {
             id: "sched/memheft-100k".into(),

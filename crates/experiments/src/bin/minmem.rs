@@ -11,7 +11,7 @@
 
 use mals_exact::{solver_registry, ExactBackendKind};
 use mals_experiments::cli;
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_experiments::min_memory::minimum_memory_table;
 use mals_gen::{cholesky_dag, lu_dag, KernelCosts, SetParams};
 use mals_platform::Platform;
@@ -80,8 +80,8 @@ fn main() {
         ..Default::default()
     };
     for (name, graph, platform) in &workloads {
-        let reference = heft_reference(graph, platform);
-        let upper = (reference.heft_peaks.max() * 1.5).max(1.0);
+        let baseline = heft_baseline(graph, platform);
+        let upper = (baseline.peaks.max() * 1.5).max(1.0);
         for entry in minimum_memory_table(graph, platform, &solvers, &ctx, upper, 0.5) {
             println!(
                 "{name},{},{},{},{},{}",
@@ -94,8 +94,8 @@ fn main() {
                     .makespan_at_min
                     .map(|v| format!("{v:.1}"))
                     .unwrap_or_else(|| "na".into()),
-                reference.heft_peaks.max(),
-                reference.heft_makespan
+                baseline.peaks.max(),
+                baseline.makespan
             );
         }
     }

@@ -26,7 +26,7 @@
 //! Exit status: 0 on success, 1 when the replay fails (infeasible instance,
 //! invalid trace), 2 on bad usage.
 
-use mals_experiments::heft_reference;
+use mals_experiments::heft_baseline;
 use mals_gen::{daggen, ArrivalProcess, ArrivalTrace, DaggenParams, WeightRanges};
 use mals_platform::Platform;
 use mals_sched::{
@@ -180,8 +180,7 @@ fn main() {
         &mut rng,
     );
     let platform = Platform::single_pair(0.0, 0.0);
-    let reference = heft_reference(&graph, &platform);
-    let bound = reference.heft_peaks.max();
+    let bound = heft_baseline(&graph, &platform).peaks.max();
     let platform = platform.with_memory_bounds(bound, bound);
 
     let trace = match &args.trace {

@@ -190,9 +190,10 @@ fn main() {
     let report = Service::for_request(&request)
         .try_handle(&request)
         .unwrap_or_else(|e| fail(e));
-    if compact {
-        println!("{}", report.to_json().to_compact());
-    } else {
-        print!("{}", report.to_json().to_pretty());
-    }
+    // Streamed: a 10⁵-task report is ~60 MB of text, and neither it nor a
+    // `Json` tree of it is ever held in memory.
+    let stdout = std::io::BufWriter::new(std::io::stdout().lock());
+    report
+        .write_to(stdout, !compact)
+        .unwrap_or_else(|e| fail(format!("cannot write the report: {e}")));
 }

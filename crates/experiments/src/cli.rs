@@ -182,8 +182,7 @@ pub fn reject_campaign_flags(options: &Options, binary: &str) {
 /// memory bounds pinned at HEFT's own requirement (the `α = 1` point of the
 /// campaigns), so the file can be fed to an external MILP solver.
 pub fn print_ilp_export(graph: &mals_dag::TaskGraph, platform: &mals_platform::Platform) {
-    let reference = crate::sweep::heft_reference(graph, platform);
-    let bound = reference.heft_peaks.max();
+    let bound = crate::sweep::heft_baseline(graph, platform).peaks.max();
     let bounded = platform.with_memory_bounds(bound, bound);
     eprintln!(
         "# exporting the Section-4 ILP ({} tasks, memory bounds = HEFT requirement {bound})",

@@ -48,14 +48,16 @@
 //! **solver** thread drains the queue in windows of up to `batch_max` jobs
 //! and hands them to [`Service::handle_window`], which builds each distinct
 //! solver once per window (cross-request batch formation — the same
-//! amortisation `Engine::solve_batch` gives a homogeneous batch). The pool
+//! amortisation `Engine::solve_batch` gives a homogeneous batch) and
+//! contains a panicking solve to its own request (an `internal` error
+//! report), so the one solver thread survives it. The pool
 //! parallelises *inside* each solve, so a single solver thread is the
 //! correct concurrency: two windows in flight would contend for the pool.
 
 use crate::service::{PreparedRequest, Service, ServiceError, SolveRequest, PROTOCOL_VERSION};
 use mals_sched::EngineConfig;
 use mals_util::{
-    write_frame, CancelToken, Deadline, FrameError, FrameReader, Json, ParallelConfig,
+    write_frame, CancelToken, Deadline, FrameError, FrameReader, Json, JsonWriter, ParallelConfig,
     DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::VecDeque;
@@ -244,6 +246,17 @@ impl Daemon {
     /// [`DaemonHandle::shutdown`] (or an in-band shutdown frame / the
     /// binary's signal handler) trips the token.
     pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
+        let service = Service::new(EngineConfig {
+            parallel: ParallelConfig::with_threads(config.threads),
+            limits: Default::default(),
+        });
+        Self::start_with(config, service)
+    }
+
+    /// [`Daemon::start`] over a caller-built session (a custom registry,
+    /// as in the fault-injection tests); `config.threads` is unused, the
+    /// session's engine owns the pool.
+    pub fn start_with(config: DaemonConfig, service: Service) -> io::Result<DaemonHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -255,10 +268,6 @@ impl Daemon {
 
         let solver = {
             let shared = Arc::clone(&shared);
-            let service = Service::new(EngineConfig {
-                parallel: ParallelConfig::with_threads(config.threads),
-                limits: Default::default(),
-            });
             let batch_max = config.batch_max;
             std::thread::Builder::new()
                 .name("malsd-solver".into())
@@ -444,11 +453,12 @@ fn solver_loop(shared: &Arc<Shared>, service: &Service, batch_max: usize) {
             .collect();
         let reports = service.handle_window(&prepared);
         for (job, report) in window.iter().zip(reports) {
-            let mut json = report.to_json();
-            if let Json::Obj(pairs) = &mut json {
-                pairs.insert(0, ("id".to_string(), job.id.clone()));
-            }
-            job.writer.send(&json.to_compact());
+            // The report document with the client's `id` as first member.
+            let mut frame = String::new();
+            report
+                .write_json(&mut JsonWriter::compact(&mut frame), Some(&job.id))
+                .expect("writing to a String cannot fail");
+            job.writer.send(&frame);
         }
     }
 }

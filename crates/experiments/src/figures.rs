@@ -13,7 +13,7 @@
 use crate::campaign::{
     run_streaming_campaign, CampaignConfig, CampaignIo, CampaignPoint, CampaignRun,
 };
-use crate::sweep::{heft_reference, sweep_absolute, SweepPoint};
+use crate::sweep::{heft_baseline, sweep_absolute, SweepPoint};
 use mals_dag::TaskGraph;
 use mals_exact::bounds::makespan_lower_bound;
 use mals_gen::{cholesky_dag, lu_dag, KernelCosts, SetParams};
@@ -202,8 +202,7 @@ fn single_dag_sweep(
     parallel: ParallelConfig,
     exact: Option<(&str, u64)>,
 ) -> SingleDagSweep {
-    let reference = heft_reference(&graph, platform);
-    let heft_memory = reference.heft_peaks.max();
+    let heft_memory = heft_baseline(&graph, platform).peaks.max();
     let grid = memory_grid(heft_memory, steps);
     // A single DAG cannot be spread over threads the way a campaign spreads
     // whole DAGs, so the parallelism goes *inside* each schedule: one worker

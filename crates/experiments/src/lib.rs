@@ -46,6 +46,6 @@ pub use service::{
     ServiceError, SolveReport, SolveRequest, PROTOCOL_VERSION,
 };
 pub use sweep::{
-    heft_reference, memory_oblivious_result, sweep_absolute, sweep_absolute_streaming, Reference,
-    SweepPoint,
+    heft_baseline, heft_reference, memory_oblivious_result, sweep_absolute,
+    sweep_absolute_streaming, HeftBaseline, Reference, SweepPoint,
 };

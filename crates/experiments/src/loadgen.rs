@@ -166,9 +166,15 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         .collect();
 
     // Every connection must be connected before any starts sending, so the
-    // run measures concurrent load, not a connect ramp.
+    // run measures concurrent load, not a connect ramp. Nagle is off: a
+    // request must leave as soon as it is written, not wait for the ACK of
+    // the previous one.
     let streams: Vec<TcpStream> = (0..config.connections.max(1))
-        .map(|_| TcpStream::connect(&config.addr))
+        .map(|_| {
+            let stream = TcpStream::connect(&config.addr)?;
+            stream.set_nodelay(true)?;
+            Ok(stream)
+        })
         .collect::<io::Result<_>>()?;
 
     // Open loop: the aggregate offered rate splits evenly over connections.

@@ -24,14 +24,18 @@
 use mals_dag::{serialize, TaskGraph};
 use mals_exact::solver_registry;
 use mals_platform::Platform;
+use mals_sched::portfolio::panic_message;
 use mals_sched::{
     Engine, EngineConfig, MemberReport, OptimalityStatus, Portfolio, SolveLimits, Solver,
 };
 use mals_sim::{
-    peaks_from_json, peaks_to_json, schedule_from_json, schedule_to_json, validate, MemoryPeaks,
-    Schedule,
+    peaks_from_json, peaks_to_json, schedule_from_json, schedule_to_json, validate,
+    write_schedule_json, MemoryPeaks, Schedule,
 };
-use mals_util::{Deadline, Json, ParallelConfig};
+use mals_util::{Deadline, IoSink, Json, JsonWriter, ParallelConfig};
+use std::fmt::{self, Write as _};
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Version of the JSON wire protocol spoken by [`SolveRequest`] /
 /// [`SolveReport`] and the `malsd` daemon. Documents without a `"v"` field
@@ -405,8 +409,62 @@ impl SolveReport {
     }
 
     /// Serialises the report (the schedule is embedded, so the report is
-    /// self-contained and can be re-validated downstream).
+    /// self-contained and can be re-validated downstream). To emit the text
+    /// of a large report, [`SolveReport::write_json`] produces the same
+    /// bytes without building this tree.
     pub fn to_json(&self) -> Json {
+        let mut pairs = self.fields_before_schedule();
+        if let Some(schedule) = &self.schedule {
+            pairs.push(("schedule".into(), schedule_to_json(schedule)));
+        }
+        Json::Obj(pairs)
+    }
+
+    /// Streams the report into `w`: byte-identical to writing
+    /// [`SolveReport::to_json`] with the same writer, but the schedule —
+    /// nearly all of a large report — goes straight from the [`Schedule`]
+    /// to the sink. `id`, when given, is written as the first member (the
+    /// daemon's reply frame).
+    pub fn write_json<W: fmt::Write>(
+        &self,
+        w: &mut JsonWriter<W>,
+        id: Option<&Json>,
+    ) -> fmt::Result {
+        w.begin_object()?;
+        if let Some(id) = id {
+            w.key("id")?;
+            w.value(id)?;
+        }
+        for (key, value) in &self.fields_before_schedule() {
+            w.key(key)?;
+            w.value(value)?;
+        }
+        if let Some(schedule) = &self.schedule {
+            w.key("schedule")?;
+            write_schedule_json(w, schedule)?;
+        }
+        w.end_object()
+    }
+
+    /// Streams the report to `out`, compact or pretty, followed by a
+    /// newline: the text of `to_json().to_compact()` plus `\n`, or of
+    /// `to_json().to_pretty()`, without the tree or the string.
+    pub fn write_to(&self, out: impl io::Write, pretty: bool) -> io::Result<()> {
+        let mut sink = IoSink::new(out);
+        let mut w = if pretty {
+            JsonWriter::pretty(&mut sink)
+        } else {
+            JsonWriter::compact(&mut sink)
+        };
+        // A write error is kept by the sink and returned by `finish`.
+        let _ = self
+            .write_json(&mut w, None)
+            .and_then(|()| w.into_inner().write_str("\n"));
+        sink.finish().map(drop)
+    }
+
+    /// Every member of the report document except the trailing schedule.
+    fn fields_before_schedule(&self) -> Vec<(String, Json)> {
         let mut pairs = vec![
             ("v".to_string(), Json::Num(PROTOCOL_VERSION as f64)),
             ("solver".to_string(), Json::str(&self.solver)),
@@ -460,10 +518,7 @@ impl SolveReport {
         if let Some(error) = &self.error {
             pairs.push(("error".into(), Json::str(error)));
         }
-        if let Some(schedule) = &self.schedule {
-            pairs.push(("schedule".into(), schedule_to_json(schedule)));
-        }
-        Json::Obj(pairs)
+        pairs
     }
 
     /// Parses the shape produced by [`SolveReport::to_json`].
@@ -806,7 +861,8 @@ impl Service {
 
     /// Handles one request; failures become *rejection reports* (status
     /// `limit_hit`, coded cause in [`SolveReport::errors`]) so the caller
-    /// always has one report per request.
+    /// always has one report per request. A solver panic is contained and
+    /// reported as an `internal` error.
     pub fn handle(&self, request: &SolveRequest) -> SolveReport {
         self.handle_at(request, request.deadline_ms.map(Deadline::after_millis))
     }
@@ -816,11 +872,9 @@ impl Service {
     /// at admission and passes them here, so queueing delay is on the
     /// clock.
     pub fn handle_at(&self, request: &SolveRequest, deadline: Option<Deadline>) -> SolveReport {
-        let mut cache = SolverCache::new();
-        match solve_on_engine(&self.engine, request, deadline, &mut cache) {
-            Ok(report) => report,
-            Err(error) => SolveReport::rejection(&request.solver, &error),
-        }
+        self.handle_window(&[(request, deadline)])
+            .pop()
+            .expect("one report per request")
     }
 
     /// Handles one request, surfacing rejections as `Err` instead of a
@@ -841,13 +895,30 @@ impl Service {
     /// amortisation as [`Engine::solve_batch`], but across requests that
     /// may mix solvers, platforms and deadlines). Reports come back in
     /// window order, one per request, rejections included.
+    ///
+    /// A panic inside one solve is contained to its request, as
+    /// [`Portfolio`] contains it per member: that request gets a rejection
+    /// report with an `internal` coded error, the solver cache is dropped
+    /// (the panicking instance may be left inconsistent), and the rest of
+    /// the window is solved normally. The daemon's single solver thread
+    /// relies on this to keep serving.
     pub fn handle_window(&self, window: &[PreparedRequest<'_>]) -> Vec<SolveReport> {
         let mut cache = SolverCache::new();
         window
             .iter()
             .map(|(request, deadline)| {
-                solve_on_engine(&self.engine, request, *deadline, &mut cache)
-                    .unwrap_or_else(|error| SolveReport::rejection(&request.solver, &error))
+                let solved = catch_unwind(AssertUnwindSafe(|| {
+                    solve_on_engine(&self.engine, request, *deadline, &mut cache)
+                }));
+                let result = solved.unwrap_or_else(|payload| {
+                    cache.clear();
+                    Err(ServiceError::Internal(format!(
+                        "solver `{}` panicked: {}",
+                        request.solver,
+                        panic_message(payload.as_ref())
+                    )))
+                });
+                result.unwrap_or_else(|error| SolveReport::rejection(&request.solver, &error))
             })
             .collect()
     }
@@ -976,8 +1047,7 @@ pub fn generated_request(tasks: usize, seed: u64) -> SolveRequest {
         &mut rng,
     );
     let platform = Platform::single_pair(0.0, 0.0);
-    let reference = crate::heft_reference(&graph, &platform);
-    let bound = reference.heft_peaks.max();
+    let bound = crate::heft_baseline(&graph, &platform).peaks.max();
     let platform = platform.with_memory_bounds(bound, bound);
     let mut request = SolveRequest::new(graph, platform, "memheft");
     // Echo the generation seed through the request so the report's

@@ -102,6 +102,16 @@ impl PortfolioReport {
     }
 }
 
+/// The message of a caught panic: its `String` or `&str` payload, as
+/// `panic!` produces them.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("unknown panic payload")
+}
+
 /// A solver set raced against each other (see the module docs).
 pub struct Portfolio {
     members: Vec<(String, Box<dyn Solver>)>,
@@ -233,11 +243,7 @@ impl Portfolio {
                     }
                 }
                 Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("unknown panic payload");
+                    let message = panic_message(payload.as_ref());
                     Raw {
                         outcome: None,
                         panic: Some(format!("panicked: {message}")),

@@ -31,7 +31,7 @@ pub use memory::{memory_peaks, memory_profiles, MemoryPeaks};
 pub use replay::{execution_stats, ExecutionStats, MemoryStats, ProcessorStats};
 pub use report::{
     peaks_from_json, peaks_to_json, schedule_from_json, schedule_to_json, validation_to_json,
-    ReportError,
+    write_schedule_json, ReportError,
 };
 pub use schedule::{CommPlacement, Schedule, TaskPlacement};
 pub use validate::{validate, ValidationError, ValidationReport};

@@ -47,33 +47,98 @@ impl MemoryPeaks {
     }
 }
 
-/// Computes the memory-usage profile of each memory under `schedule`.
+/// One `±size` residency event: a file enters (`delta > 0`) or leaves
+/// (`delta < 0`) a memory at a time whose order-preserving key is `key`.
+#[derive(Clone, Copy)]
+struct Event {
+    key: u64,
+    delta: f64,
+}
+
+impl Event {
+    fn new(time: f64, delta: f64) -> Self {
+        Event {
+            key: order_key(time),
+            delta,
+        }
+    }
+
+    fn time(self) -> f64 {
+        f64::from_bits(if self.key >> 63 == 1 {
+            self.key & !(1 << 63)
+        } else {
+            !self.key
+        })
+    }
+}
+
+/// Maps `t` to a `u64` whose unsigned order is `f64::total_cmp`'s order
+/// (negative values have every bit flipped, the rest only the sign bit).
+/// The map is a bijection, so [`Event::time`] restores `t` bit for bit.
+fn order_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Stable LSD radix sort of `events` by key: one counting pass per 8-bit
+/// digit, skipping the digits every key shares. Being stable and keyed on
+/// [`order_key`], it yields exactly the permutation of a stable
+/// `sort_by(total_cmp)` on the times.
+fn radix_sort(events: &mut Vec<Event>) {
+    let mut counts = [[0usize; 256]; 8];
+    for e in events.iter() {
+        for (digit, count) in counts.iter_mut().enumerate() {
+            count[(e.key >> (8 * digit)) as usize & 0xff] += 1;
+        }
+    }
+    let mut scratch = vec![Event { key: 0, delta: 0.0 }; events.len()];
+    for (digit, count) in counts.iter().enumerate() {
+        if count.contains(&events.len()) {
+            continue; // every key has the same byte here: the pass is a no-op
+        }
+        let mut offsets = [0usize; 256];
+        let mut next = 0;
+        for (offset, &c) in offsets.iter_mut().zip(count) {
+            *offset = next;
+            next += c;
+        }
+        for &e in events.iter() {
+            let bucket = (e.key >> (8 * digit)) as usize & 0xff;
+            scratch[offsets[bucket]] = e;
+            offsets[bucket] += 1;
+        }
+        std::mem::swap(events, &mut scratch);
+    }
+}
+
+/// The sweep-line input shared by [`memory_profiles`] and [`memory_peaks`]:
+/// `±size` events per memory (indexed by [`Memory::index`]), sorted by time
+/// with simultaneous events kept in file order, so the running sum at each
+/// time is deterministic.
 ///
 /// Files whose producer or consumer is not placed are ignored (the validator
 /// reports those as missing-placement errors separately). A cross-memory edge
 /// without a communication placement is treated as if the transfer happened
 /// instantaneously when the consumer starts; again the validator flags the
-/// missing placement itself.
-pub fn memory_profiles(
+/// missing placement itself. The empty-interval guard matches
+/// `Staircase::add_range`.
+fn residency_events(
     graph: &TaskGraph,
     platform: &Platform,
     schedule: &Schedule,
-) -> [Staircase; 2] {
-    // Sweep-line replay: collect ±size events per memory, sort once, and
-    // bulk-load the staircases left to right — `O(E log E)` for `E` files
-    // instead of the `O(E · k)` of one `add_range` per file, which was the
-    // dominant cost of replaying 10⁵-task schedules. The empty-interval
-    // guard matches `Staircase::add_range`, and event times within the
-    // shared tolerance of each other collapse onto one breakpoint just as
-    // `ensure_breakpoint` would snap them.
-    let mut events: [Vec<(f64, f64)>; 2] = [Vec::new(), Vec::new()];
+) -> [Vec<Event>; 2] {
+    let mut events: [Vec<Event>; 2] = [Vec::new(), Vec::new()];
     let mut resident = |mem: Memory, from: f64, until: f64, size: f64| {
         let from = from.max(0.0);
         if until <= from + EPSILON {
             return;
         }
-        events[mem.index()].push((from, size));
-        events[mem.index()].push((until, -size));
+        events[mem.index()].push(Event::new(from, size));
+        events[mem.index()].push(Event::new(until, -size));
     };
     for edge_id in graph.edge_ids() {
         let edge = graph.edge(edge_id);
@@ -96,35 +161,73 @@ pub fn memory_profiles(
             resident(mem_dst, transfer_start, dst.finish, edge.size);
         }
     }
-    events.map(|mut ev| {
-        if ev.is_empty() {
-            return Staircase::constant(0.0);
+    for ev in &mut events {
+        radix_sort(ev);
+    }
+    events
+}
+
+/// Folds sorted events into breakpoints: the running sum after each event,
+/// with event times within the shared tolerance of the open breakpoint
+/// collapsing onto it (as `ensure_breakpoint` would snap them). Calls
+/// `emit(time, value)` once per breakpoint, left to right, starting with
+/// the one at `0`.
+fn fold_breakpoints(events: &[Event], mut emit: impl FnMut(f64, f64)) {
+    let (mut open_t, mut open_v) = (0.0, 0.0);
+    let mut acc = 0.0;
+    for &e in events {
+        acc += e.delta;
+        let t = e.time();
+        if approx_eq(open_t, t) {
+            open_v = acc;
+        } else {
+            emit(open_t, open_v);
+            (open_t, open_v) = (t, acc);
         }
-        // Stable by time: simultaneous events keep file order, so the
-        // accumulated value at each breakpoint is deterministic.
-        ev.sort_by(|a, b| a.0.total_cmp(&b.0));
+    }
+    emit(open_t, open_v);
+}
+
+/// Computes the memory-usage profile of each memory under `schedule`.
+///
+/// Sweep-line replay: the sorted residency events are bulk-loaded into the
+/// staircases left to right — linear in the `E` files after the radix
+/// sort, instead of the `O(E · k)` of one `add_range` per file.
+pub fn memory_profiles(
+    graph: &TaskGraph,
+    platform: &Platform,
+    schedule: &Schedule,
+) -> [Staircase; 2] {
+    residency_events(graph, platform, schedule).map(|ev| {
         let mut bps: Vec<(f64, f64)> = Vec::with_capacity(ev.len() + 1);
-        bps.push((0.0, 0.0));
-        let mut acc = 0.0;
-        for (t, delta) in ev {
-            acc += delta;
-            let last = bps.last_mut().expect("never empty");
-            if approx_eq(last.0, t) {
-                last.1 = acc;
-            } else {
-                bps.push((t, acc));
-            }
-        }
+        fold_breakpoints(&ev, |t, v| bps.push((t, v)));
         Staircase::from_breakpoints(bps)
     })
 }
 
 /// Computes the peak memory usage of `schedule` on each memory.
+///
+/// Folds the residency events straight to the maximum instead of building
+/// the staircases of [`memory_profiles`]. The result is bit-identical to
+/// the profiles' `max_value()`: the fold keeps a breakpoint only when its
+/// value is not `approx_eq` to the last kept one, exactly as
+/// `Staircase::from_breakpoints` merges them.
 pub fn memory_peaks(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) -> MemoryPeaks {
-    let profiles = memory_profiles(graph, platform, schedule);
+    let peak = |ev: &[Event]| {
+        let mut kept: Option<f64> = None;
+        let mut peak = f64::NEG_INFINITY;
+        fold_breakpoints(ev, |_, v| {
+            if !kept.is_some_and(|k| approx_eq(k, v)) {
+                kept = Some(v);
+                peak = peak.max(v);
+            }
+        });
+        peak.max(0.0)
+    };
+    let events = residency_events(graph, platform, schedule);
     MemoryPeaks {
-        blue: profiles[Memory::Blue.index()].max_value().max(0.0),
-        red: profiles[Memory::Red.index()].max_value().max(0.0),
+        blue: peak(&events[Memory::Blue.index()]),
+        red: peak(&events[Memory::Red.index()]),
     }
 }
 

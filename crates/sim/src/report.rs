@@ -18,7 +18,8 @@ use crate::memory::MemoryPeaks;
 use crate::schedule::{CommPlacement, Schedule, TaskPlacement};
 use crate::validate::ValidationReport;
 use mals_dag::{EdgeId, TaskId};
-use mals_util::Json;
+use mals_util::{Json, JsonWriter};
+use std::fmt;
 
 /// Errors raised while decoding a schedule from JSON.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +74,49 @@ pub fn schedule_to_json(schedule: &Schedule) -> Json {
         ("tasks", Json::Arr(tasks)),
         ("comms", Json::Arr(comms)),
     ])
+}
+
+/// Streams the [`schedule_to_json`] encoding of `schedule` into `w` without
+/// building the tree — the same bytes, at a fraction of the memory for a
+/// 10⁵-task schedule.
+pub fn write_schedule_json<W: fmt::Write>(
+    w: &mut JsonWriter<W>,
+    schedule: &Schedule,
+) -> fmt::Result {
+    w.begin_object()?;
+    w.key("n_tasks")?;
+    w.number(schedule.n_tasks() as f64)?;
+    w.key("n_edges")?;
+    w.number(schedule.n_edges() as f64)?;
+    w.key("tasks")?;
+    w.begin_array()?;
+    for p in schedule.task_placements() {
+        w.begin_object()?;
+        w.key("task")?;
+        w.number(p.task.index() as f64)?;
+        w.key("proc")?;
+        w.number(p.proc as f64)?;
+        w.key("start")?;
+        w.number(p.start)?;
+        w.key("finish")?;
+        w.number(p.finish)?;
+        w.end_object()?;
+    }
+    w.end_array()?;
+    w.key("comms")?;
+    w.begin_array()?;
+    for c in schedule.comm_placements() {
+        w.begin_object()?;
+        w.key("edge")?;
+        w.number(c.edge.index() as f64)?;
+        w.key("start")?;
+        w.number(c.start)?;
+        w.key("finish")?;
+        w.number(c.finish)?;
+        w.end_object()?;
+    }
+    w.end_array()?;
+    w.end_object()
 }
 
 /// Parses the shape produced by [`schedule_to_json`].
@@ -206,6 +250,21 @@ mod tests {
         // Through text, too.
         let reparsed = Json::parse(&json.to_pretty()).unwrap();
         assert_eq!(schedule_from_json(&reparsed).unwrap(), s);
+    }
+
+    #[test]
+    fn streamed_schedule_matches_the_tree() {
+        let (g, full) = dex_schedule();
+        let empty = Schedule::for_graph(&g);
+        for s in [&full, &empty] {
+            let tree = schedule_to_json(s);
+            let mut compact = String::new();
+            write_schedule_json(&mut JsonWriter::compact(&mut compact), s).unwrap();
+            assert_eq!(compact, tree.to_compact());
+            let mut pretty = String::new();
+            write_schedule_json(&mut JsonWriter::pretty(&mut pretty), s).unwrap();
+            assert_eq!(pretty + "\n", tree.to_pretty());
+        }
     }
 
     #[test]

@@ -182,10 +182,14 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Writes one frame: the payload followed by `\n`, then flushes, so the
-/// frame is visible to the peer immediately (the daemon's per-connection
-/// writer is behind a mutex — a buffered half-written frame would deadlock
-/// latency, not memory).
+/// Writes one frame: the payload followed by `\n`, in one `write_all`,
+/// then flushes, so the frame is visible to the peer immediately (the
+/// daemon's per-connection writer is behind a mutex — a buffered
+/// half-written frame would deadlock latency, not memory).
+///
+/// One write per frame matters on TCP: with Nagle's algorithm on, a
+/// separate one-byte `\n` write waits for the peer's delayed ACK of the
+/// payload, which capped a closed-loop client at ~23 requests/s.
 ///
 /// The payload must not contain a raw newline (compact JSON never does);
 /// embedded newlines would be read back as two frames.
@@ -194,8 +198,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
         !payload.contains('\n'),
         "frame payloads must be newline-free"
     );
-    writer.write_all(payload.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut frame = Vec::with_capacity(payload.len() + 1);
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -247,6 +253,34 @@ mod tests {
         assert_eq!(reader.read_frame().unwrap().as_deref(), Some("{\"a\":1}"));
         assert_eq!(reader.read_frame().unwrap().as_deref(), Some("{\"b\":2}"));
         assert_eq!(reader.read_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Accepts everything, counting `write` calls.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut out, "{\"a\":1}").unwrap();
+        assert_eq!(out.writes, 1);
+        write_frame(&mut out, "").unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(out.bytes, b"{\"a\":1}\n\n");
     }
 
     #[test]

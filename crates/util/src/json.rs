@@ -2,8 +2,11 @@
 //!
 //! The workspace builds without a crates registry, so the service surface
 //! (`SolveRequest` / `SolveReport`) cannot lean on `serde`. This module is
-//! the stand-in: a plain [`Json`] tree, a recursive-descent parser and a
-//! deterministic emitter. It covers the JSON the workspace produces and
+//! the stand-in: a plain [`Json`] tree, a recursive-descent parser (nesting
+//! capped at 128 levels, so hostile input is an error, not a stack
+//! overflow) and one deterministic emitter, [`JsonWriter`], which writes
+//! either a tree or a document streamed straight from the caller's data.
+//! It covers the JSON the workspace produces and
 //! consumes — objects, arrays, strings with standard escapes (including
 //! `\uXXXX` with surrogate pairs), finite numbers, booleans and `null` —
 //! and nothing more exotic (no comments, no trailing commas).
@@ -14,6 +17,9 @@
 //! Non-finite numbers have no JSON spelling, so [`Json::Num`] emits them as
 //! `null` — encoders with a meaningful infinity (e.g. unbounded memory
 //! capacities) must map it explicitly before building the tree.
+
+use std::fmt;
+use std::io;
 
 /// A parsed (or to-be-emitted) JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,11 +123,13 @@ impl Json {
         matches!(self, Json::Null)
     }
 
-    /// Parses a JSON document (the whole input must be one value).
+    /// Parses a JSON document (the whole input must be one value). Arrays
+    /// and objects nested more than 128 levels deep are an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -134,115 +142,299 @@ impl Json {
 
     /// Emits the document without whitespace.
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = JsonWriter::compact(String::new());
+        w.value(self).expect("writing to a String cannot fail");
+        w.into_inner()
     }
 
     /// Emits the document with 2-space indentation.
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        let mut w = JsonWriter::pretty(String::new());
+        w.value(self).expect("writing to a String cannot fail");
+        let mut out = w.into_inner();
         out.push('\n');
         out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if !x.is_finite() {
-                    out.push_str("null");
-                } else if x.fract() == 0.0
-                    && x.abs() < 9_007_199_254_740_992.0
-                    && !(*x == 0.0 && x.is_sign_negative())
-                {
-                    // Exactly-integral values print without the `.0` (counts,
-                    // ids, thread numbers); parsing restores the same f64.
-                    out.push_str(&format!("{}", *x as i64));
-                } else {
-                    // `{:?}` prints the shortest round-tripping decimal and
-                    // always includes a `.0` or exponent, which is valid JSON.
-                    out.push_str(&format!("{x:?}"));
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                write_sequence(out, indent, depth, items.len(), '[', ']', |out, i| {
-                    items[i].write(out, indent, depth + 1);
-                })
-            }
-            Json::Obj(pairs) => {
-                write_sequence(out, indent, depth, pairs.len(), '{', '}', |out, i| {
-                    write_escaped(out, &pairs[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    pairs[i].1.write(out, indent, depth + 1);
-                })
-            }
-        }
     }
 }
 
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_compact())
+        JsonWriter::compact(f).value(self)
     }
 }
 
-fn write_sequence(
-    out: &mut String,
-    indent: Option<usize>,
+/// The one JSON emitter of the workspace: writes a document token by token
+/// into any [`fmt::Write`] sink, compact or with 2-space indentation.
+///
+/// [`Json::to_compact`] / [`Json::to_pretty`] drive it over a tree, and
+/// large documents (a 10⁵-task schedule report) drive it directly from
+/// their own data, so no tree and no intermediate text is built. Both
+/// paths share the number formatting, escaping and indentation here, so
+/// they emit the same bytes. Numbers are written in place: exactly
+/// integral values below 2⁵³ as integers, other finite values with `{:?}`
+/// (shortest round-tripping decimal), non-finite values as `null`.
+///
+/// The caller keeps the token sequence well formed (a [`JsonWriter::key`]
+/// before every object member, balanced `begin_*` / `end_*`); the writer
+/// only places separators and whitespace.
+#[derive(Debug)]
+pub struct JsonWriter<W> {
+    out: W,
+    /// Spaces per nesting level; 0 for compact output.
+    indent: usize,
     depth: usize,
-    len: usize,
-    open: char,
-    close: char,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
-        item(out, i);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-    out.push(close);
+    /// No item has been written yet into the innermost open container.
+    empty: bool,
+    /// A key was just written, so the next value follows it directly.
+    after_key: bool,
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl<W: fmt::Write> JsonWriter<W> {
+    /// A writer emitting no whitespace (as [`Json::to_compact`]).
+    pub fn compact(out: W) -> Self {
+        Self::with_indent(out, 0)
+    }
+
+    /// A writer emitting 2-space indentation (as [`Json::to_pretty`],
+    /// without its trailing newline).
+    pub fn pretty(out: W) -> Self {
+        Self::with_indent(out, 2)
+    }
+
+    fn with_indent(out: W, indent: usize) -> Self {
+        JsonWriter {
+            out,
+            indent,
+            depth: 0,
+            empty: true,
+            after_key: false,
         }
     }
-    out.push('"');
+
+    /// The sink, with everything written so far.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+
+    /// Line break plus indentation for nesting `level` (pretty mode only).
+    fn newline(&mut self, level: usize) -> fmt::Result {
+        const SPACES: &str = "                                ";
+        if self.indent == 0 {
+            return Ok(());
+        }
+        self.out.write_char('\n')?;
+        let mut n = self.indent * level;
+        while n > 0 {
+            let k = n.min(SPACES.len());
+            self.out.write_str(&SPACES[..k])?;
+            n -= k;
+        }
+        Ok(())
+    }
+
+    /// Separator and indentation before an array item or object key.
+    fn item(&mut self) -> fmt::Result {
+        if std::mem::take(&mut self.after_key) {
+            return Ok(());
+        }
+        if self.depth > 0 {
+            if !self.empty {
+                self.out.write_char(',')?;
+            }
+            self.newline(self.depth)?;
+        }
+        self.empty = false;
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: char) -> fmt::Result {
+        self.item()?;
+        self.out.write_char(bracket)?;
+        self.depth += 1;
+        self.empty = true;
+        Ok(())
+    }
+
+    fn close(&mut self, bracket: char) -> fmt::Result {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline(self.depth)?;
+        }
+        // The container just closed is an item of its parent.
+        self.empty = false;
+        self.out.write_char(bracket)
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> fmt::Result {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> fmt::Result {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> fmt::Result {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> fmt::Result {
+        self.close(']')
+    }
+
+    /// Writes an object member's key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> fmt::Result {
+        self.item()?;
+        write_escaped(&mut self.out, key)?;
+        self.out
+            .write_str(if self.indent > 0 { ": " } else { ":" })?;
+        self.after_key = true;
+        Ok(())
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> fmt::Result {
+        self.item()?;
+        self.out.write_str("null")
+    }
+
+    /// Writes `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> fmt::Result {
+        self.item()?;
+        self.out.write_str(if b { "true" } else { "false" })
+    }
+
+    /// Writes a number (`null` when not finite).
+    pub fn number(&mut self, x: f64) -> fmt::Result {
+        self.item()?;
+        if !x.is_finite() {
+            self.out.write_str("null")
+        } else if x.fract() == 0.0
+            && x.abs() < 9_007_199_254_740_992.0
+            && !(x == 0.0 && x.is_sign_negative())
+        {
+            // Exactly-integral values print without the `.0` (counts, ids,
+            // thread numbers); parsing restores the same f64.
+            write!(self.out, "{}", x as i64)
+        } else {
+            // `{:?}` prints the shortest round-tripping decimal and always
+            // includes a `.0` or exponent, which is valid JSON.
+            write!(self.out, "{x:?}")
+        }
+    }
+
+    /// Writes a string, escaped.
+    pub fn string(&mut self, s: &str) -> fmt::Result {
+        self.item()?;
+        write_escaped(&mut self.out, s)
+    }
+
+    /// Writes a whole [`Json`] value.
+    pub fn value(&mut self, json: &Json) -> fmt::Result {
+        match json {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(x) => self.number(*x),
+            Json::Str(s) => self.string(s),
+            Json::Arr(items) => {
+                self.begin_array()?;
+                for item in items {
+                    self.value(item)?;
+                }
+                self.end_array()
+            }
+            Json::Obj(pairs) => {
+                self.begin_object()?;
+                for (key, value) in pairs {
+                    self.key(key)?;
+                    self.value(value)?;
+                }
+                self.end_object()
+            }
+        }
+    }
 }
+
+/// Writes `s` as a JSON string literal, copying unescaped runs wholesale.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    // Every byte that needs escaping is ASCII, and ASCII bytes never occur
+    // inside a multi-byte UTF-8 sequence, so `i` is a char boundary.
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escaped.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escaped)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Adapts an [`io::Write`] to the [`fmt::Write`] sink of a [`JsonWriter`],
+/// so a document can be streamed to a file or socket. The first I/O error
+/// is kept (the writer sees only [`fmt::Error`]) and returned by
+/// [`IoSink::finish`].
+#[derive(Debug)]
+pub struct IoSink<W> {
+    inner: W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> IoSink<W> {
+    /// Wraps `inner` (buffer it: the writer emits many small pieces).
+    pub fn new(inner: W) -> Self {
+        IoSink { inner, error: None }
+    }
+
+    /// Flushes and returns the inner writer, or the first I/O error.
+    pub fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        self.inner.flush()?;
+        Ok(self.inner)
+    }
+}
+
+impl<W: io::Write> fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.error.is_some() {
+            return Err(fmt::Error);
+        }
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive, so without a cap a hostile document of a few kilobytes of
+/// `[` overflows the thread stack and aborts the process; the service's
+/// documents nest fewer than ten levels.
+const MAX_NESTING: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -287,12 +479,25 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
+            Some(b'[' | b'{') if self.depth == MAX_NESTING => {
+                Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")))
+            }
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => {
+                self.depth += 1;
+                let array = self.array();
+                self.depth -= 1;
+                array
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let object = self.object();
+                self.depth -= 1;
+                object
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
             None => Err(self.err("unexpected end of input")),
@@ -552,6 +757,124 @@ mod tests {
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(err.to_string().contains("byte 6"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let err = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(Json::parse(&format!("{}1{}", "{\"a\":".repeat(200), "}".repeat(200))).is_err());
+        // 10⁵ brackets on a 2 MiB thread (the daemon's reader threads):
+        // without the cap this aborts the process.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(100_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(deep);
+    }
+
+    /// Streams `doc` token by token through the public writer API, the way
+    /// a caller without a tree does.
+    fn stream(w: &mut JsonWriter<&mut String>, doc: &Json) {
+        match doc {
+            Json::Arr(items) => {
+                w.begin_array().unwrap();
+                for item in items {
+                    stream(w, item);
+                }
+                w.end_array().unwrap();
+            }
+            Json::Obj(pairs) => {
+                w.begin_object().unwrap();
+                for (key, value) in pairs {
+                    w.key(key).unwrap();
+                    stream(w, value);
+                }
+                w.end_object().unwrap();
+            }
+            Json::Null => w.null().unwrap(),
+            Json::Bool(b) => w.bool(*b).unwrap(),
+            Json::Num(x) => w.number(*x).unwrap(),
+            Json::Str(s) => w.string(s).unwrap(),
+        }
+    }
+
+    #[test]
+    fn streamed_documents_match_the_tree_emitter() {
+        let doc = Json::obj([
+            ("esc\"aped\tkey", Json::str("a\u{1}b\\c\r\né€🦀")),
+            ("empty_arr", Json::Arr(Vec::new())),
+            ("empty_obj", Json::Obj(Vec::new())),
+            (
+                "nums",
+                Json::Arr(
+                    [
+                        0.0,
+                        -0.0,
+                        1.0,
+                        -3.0,
+                        0.1,
+                        1e300,
+                        9_007_199_254_740_992.0,
+                        f64::NAN,
+                    ]
+                    .map(Json::Num)
+                    .to_vec(),
+                ),
+            ),
+            (
+                "nested",
+                Json::Arr(vec![
+                    Json::obj([("x", Json::Null)]),
+                    Json::Arr(vec![]),
+                    Json::Bool(false),
+                ]),
+            ),
+        ]);
+        for pretty in [false, true] {
+            let mut text = String::new();
+            let mut w = if pretty {
+                JsonWriter::pretty(&mut text)
+            } else {
+                JsonWriter::compact(&mut text)
+            };
+            stream(&mut w, &doc);
+            let tree = if pretty {
+                doc.to_pretty().trim_end_matches('\n').to_string()
+            } else {
+                doc.to_compact()
+            };
+            assert_eq!(text, tree, "pretty = {pretty}");
+        }
+        assert_eq!(doc.to_string(), doc.to_compact());
+        assert_eq!(Json::str("\u{1f}\u{7f}").to_compact(), "\"\\u001f\u{7f}\"");
+    }
+
+    #[test]
+    fn io_sink_streams_and_reports_errors() {
+        let doc = Json::obj([("a", Json::Arr(vec![Json::Num(1.5)]))]);
+        let mut sink = IoSink::new(Vec::new());
+        JsonWriter::pretty(&mut sink).value(&doc).unwrap();
+        let bytes = sink.finish().unwrap();
+        assert_eq!(String::from_utf8(bytes).unwrap() + "\n", doc.to_pretty());
+
+        #[derive(Debug)]
+        struct Broken;
+        impl io::Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "gone"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = IoSink::new(Broken);
+        assert!(JsonWriter::compact(&mut sink).value(&doc).is_err());
+        assert_eq!(sink.finish().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

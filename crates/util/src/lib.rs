@@ -49,7 +49,7 @@ pub use chunked::ChunkedIndexSet;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use float::{approx_eq, approx_ge, approx_le, F64Ord, EPSILON};
 pub use frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
-pub use json::{Json, JsonError};
+pub use json::{IoSink, Json, JsonError, JsonWriter};
 pub use pool::{parallel_map, parallel_map_indexed, ParallelConfig, WorkerPool};
 pub use rng::Pcg64;
 pub use staircase::Staircase;

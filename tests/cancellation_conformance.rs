@@ -89,8 +89,8 @@ fn expired_deadline_yields_limit_hit_for_every_solver() {
 fn mid_solve_cancellation_returns_promptly_with_no_invalid_schedule() {
     let graph = mals_bench::large_rand_dag(1000, 42);
     let open = Platform::single_pair(0.0, 0.0);
-    let reference = mals::experiments::heft_reference(&graph, &open);
-    let bound = reference.heft_peaks.max();
+    let baseline = mals::experiments::heft_baseline(&graph, &open);
+    let bound = baseline.peaks.max();
     let platform = open.with_memory_bounds(bound, bound);
 
     for (key, delay_ms) in [
@@ -165,8 +165,8 @@ fn small_instance(seed: u64, n_tasks: usize) -> (TaskGraph, Platform) {
         &mut rng,
     );
     let open = Platform::single_pair(0.0, 0.0);
-    let reference = mals::experiments::heft_reference(&graph, &open);
-    let bound = (reference.heft_peaks.max() * 0.8).max(1.0);
+    let baseline = mals::experiments::heft_baseline(&graph, &open);
+    let bound = (baseline.peaks.max() * 0.8).max(1.0);
     (graph, open.with_memory_bounds(bound, bound))
 }
 

@@ -46,6 +46,25 @@ fn error_code(response: &Json) -> Option<&str> {
 }
 
 #[test]
+fn deeply_nested_frame_is_rejected_and_the_connection_survives() {
+    let handle = start_daemon(DaemonConfig {
+        threads: 1,
+        ..DaemonConfig::default()
+    });
+    let (mut reader, mut write_half) = connect(&handle);
+    // 10⁵ nested brackets: without the parser's nesting cap this overflows
+    // the reader thread's stack and aborts the whole daemon.
+    write_frame(&mut write_half, &"[".repeat(100_000)).unwrap();
+    let response = read_one(&mut reader);
+    assert_eq!(error_code(&response), Some("bad_request"), "{response}");
+    write_frame(&mut write_half, r#"{"op":"ping"}"#).unwrap();
+    let pong = read_one(&mut reader);
+    assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn malformed_frames_answer_bad_request_without_killing_the_connection() {
     let handle = start_daemon(DaemonConfig {
         threads: 1,

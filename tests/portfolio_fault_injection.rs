@@ -166,3 +166,49 @@ fn all_members_infeasible_yields_infeasible() {
     assert_eq!(report.winner, None);
     assert_eq!(report.outcome.status, OptimalityStatus::Infeasible);
 }
+
+/// The daemon's single solver thread must survive a panicking solve: the
+/// request gets an `internal` coded error and the next request is served.
+#[test]
+fn daemon_contains_a_panicking_solve_and_keeps_serving() {
+    use mals::experiments::daemon::{Daemon, DaemonConfig};
+    use mals::util::{write_frame, FrameReader};
+    use std::net::TcpStream;
+
+    let engine = Engine::new(faulty_registry(), EngineConfig::sequential());
+    let handle = Daemon::start_with(DaemonConfig::default(), Service::with_engine(engine))
+        .expect("daemon start");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut write_half = stream.try_clone().expect("clone");
+    let mut reader = FrameReader::new(stream);
+    let (graph, platform) = instance();
+    let mut ask = |id: u64, solver: &str| {
+        let mut json = SolveRequest::new(graph.clone(), platform.clone(), solver).to_json();
+        let Json::Obj(pairs) = &mut json else {
+            unreachable!("requests serialise to objects")
+        };
+        pairs.insert(0, ("id".to_string(), Json::Num(id as f64)));
+        write_frame(&mut write_half, &json.to_compact()).unwrap();
+        let frame = reader.read_frame().unwrap().expect("one reply per request");
+        Json::parse(&frame).unwrap()
+    };
+
+    let reply = ask(1, "panic");
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(1));
+    let errors = reply
+        .get("errors")
+        .and_then(Json::as_arr)
+        .expect("coded errors");
+    assert_eq!(
+        errors[0].get("code").and_then(Json::as_str),
+        Some("internal")
+    );
+    let message = errors[0].get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("injected fault"), "{message}");
+
+    let reply = ask(2, "memheft");
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(2));
+    assert_eq!(reply.get("valid").and_then(Json::as_bool), Some(true));
+    handle.shutdown();
+    handle.join();
+}

@@ -156,8 +156,8 @@ fn small_instance(seed: u64, n_tasks: usize) -> (TaskGraph, Platform) {
     // Bound at 80% of HEFT's own footprint so the memory logic does real
     // work but most instances stay feasible.
     let open = Platform::single_pair(0.0, 0.0);
-    let reference = mals::experiments::heft_reference(&graph, &open);
-    let bound = (reference.heft_peaks.max() * 0.8).max(1.0);
+    let baseline = mals::experiments::heft_baseline(&graph, &open);
+    let bound = (baseline.peaks.max() * 0.8).max(1.0);
     (graph, open.with_memory_bounds(bound, bound))
 }
 
