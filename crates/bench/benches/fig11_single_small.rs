@@ -37,6 +37,7 @@ fn bench_fig11(c: &mut Criterion) {
                 &[&memheft, &memminmin],
                 &[&heft, &minmin],
                 &SolveCtx::sequential(),
+                ParallelConfig::sequential(),
             )
         })
     });

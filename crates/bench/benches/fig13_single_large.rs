@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mals_bench::{large_rand_dag, single_pair};
 use mals_experiments::{heft_baseline, sweep_absolute};
 use mals_sched::{Heft, MemHeft, MemMinMin, MinMin, SolveCtx};
+use mals_util::ParallelConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -33,6 +34,7 @@ fn bench_fig13(c: &mut Criterion) {
                 &[&memheft, &memminmin],
                 &[&heft, &minmin],
                 &SolveCtx::sequential(),
+                ParallelConfig::sequential(),
             )
         })
     });

@@ -14,9 +14,7 @@
 //! writes one bench per line so the comparator can parse its own output
 //! without a JSON dependency; hand-edited baselines must keep that shape.
 
-use mals_bench::{
-    large_rand_dag, single_pair, small_rand_dag, WITHIN_SCHEDULE_SEED, WITHIN_SCHEDULE_TASKS,
-};
+use mals_bench::{large_rand_dag, single_pair, small_rand_dag};
 use mals_dag::TaskGraph;
 use mals_exact::{solver_registry, ExactBackend, MilpBackend, SolveLimits};
 use mals_experiments::heft_baseline;
@@ -70,7 +68,11 @@ fn bounded_single_pair(graph: &TaskGraph) -> Platform {
 }
 
 /// The benchmark set. `quick` keeps CI smoke runs in seconds; the full set
-/// adds the paper-scale 1000-task within-schedule scaling rows.
+/// grows the medium instance from 150 to 400 tasks.
+///
+/// The `-t1` suffix of the `largerand` ids dates from when those rows also
+/// ran at 2, 4 and 8 threads; every single solve is sequential now, and the
+/// ids are kept so medians stay comparable across baselines.
 fn benches(quick: bool) -> Vec<Bench> {
     let mut set = Vec::new();
 
@@ -92,25 +94,17 @@ fn benches(quick: bool) -> Vec<Bench> {
     let medium_tasks = if quick { 150 } else { 400 };
     let medium = large_rand_dag(medium_tasks, 0x5CA1E + medium_tasks as u64);
     let medium_platform = bounded_single_pair(&medium);
-    for threads in [1usize, 2, 4] {
-        set.push(scheduler_bench(
-            format!("memminmin/largerand-{medium_tasks}-t{threads}"),
-            medium.clone(),
-            medium_platform.clone(),
-            MemMinMin::with_parallelism(ParallelConfig::with_threads(threads)),
-        ));
-    }
     set.push(scheduler_bench(
-        format!("memheft/largerand-{medium_tasks}-t1"),
+        format!("memminmin/largerand-{medium_tasks}-t1"),
         medium.clone(),
         medium_platform.clone(),
-        MemHeft::new(),
+        MemMinMin::new(),
     ));
     set.push(scheduler_bench(
-        format!("memheft/largerand-{medium_tasks}-t4"),
+        format!("memheft/largerand-{medium_tasks}-t1"),
         medium,
         medium_platform,
-        MemHeft::with_parallelism(ParallelConfig::with_threads(4)),
+        MemHeft::new(),
     ));
 
     // The MILP exact backend on a 10-task instance at exactly HEFT's memory
@@ -135,34 +129,20 @@ fn benches(quick: bool) -> Vec<Bench> {
         });
     }
 
-    // The engine layer: solving a batch of small DAGs through one persistent
-    // `Engine` (pool spawned once, reused by every solve) versus spinning a
-    // scheduler + pool up per solve — the amortisation the session object
-    // exists for. Both run the same solver on the same DAGs at 2 threads.
+    // The engine layer: a batch of small DAGs solved through one `Engine`
+    // session (registry lookup once, a 2-thread pool spawned once).
     {
         let batch: Vec<TaskGraph> = (0..16).map(|i| small_rand_dag(12, 900 + i)).collect();
         let batch_platform = bounded_single_pair(&batch[0]);
-        let engine_batch = batch.clone();
-        let engine_platform = batch_platform.clone();
         set.push(Bench {
             id: "engine/batch-solve-16x12-t2".into(),
             run: Box::new(move || {
                 let engine =
                     Engine::new(solver_registry(), EngineConfig::default().with_threads(2));
                 let outcomes = engine
-                    .solve_batch("memminmin", &engine_batch, &engine_platform)
+                    .solve_batch("memminmin", &batch, &batch_platform)
                     .expect("registered solver");
                 std::hint::black_box(outcomes.len());
-            }),
-            min_samples: None,
-        });
-        set.push(Bench {
-            id: "engine/per-solve-16x12-t2".into(),
-            run: Box::new(move || {
-                for graph in &batch {
-                    let scheduler = MemMinMin::with_parallelism(ParallelConfig::with_threads(2));
-                    std::hint::black_box(scheduler.schedule(graph, &batch_platform).is_ok());
-                }
             }),
             min_samples: None,
         });
@@ -369,20 +349,16 @@ fn benches(quick: bool) -> Vec<Bench> {
         });
     }
 
-    // The within-schedule scaling fixture (the tentpole of the parallel
-    // engine): quick mode keeps the 1- and 8-thread endpoints so CI still
-    // guards the engine, full mode sweeps the whole ladder.
-    let huge = large_rand_dag(WITHIN_SCHEDULE_TASKS, WITHIN_SCHEDULE_SEED);
-    let huge_platform = bounded_single_pair(&huge);
-    let ladder: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
-    for &threads in ladder {
-        set.push(scheduler_bench(
-            format!("memminmin/largerand-{WITHIN_SCHEDULE_TASKS}-t{threads}"),
-            huge.clone(),
-            huge_platform.clone(),
-            MemMinMin::with_parallelism(ParallelConfig::with_threads(threads)),
-        ));
-    }
+    // The paper-scale LargeRandSet instance (Figures 12–13: 1000 tasks)
+    // through MemMinMin, whose every step scans the whole ready list.
+    let large = large_rand_dag(1000, 0x1000 + 1000);
+    let large_platform = bounded_single_pair(&large);
+    set.push(scheduler_bench(
+        "memminmin/largerand-1000-t1",
+        large,
+        large_platform,
+        MemMinMin::new(),
+    ));
 
     set
 }

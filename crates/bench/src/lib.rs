@@ -13,15 +13,6 @@ use mals_gen::{cholesky_dag, lu_dag, DaggenParams, KernelCosts, SetParams, Weigh
 use mals_platform::Platform;
 use mals_util::Pcg64;
 
-/// Task count of the within-schedule scaling fixture: the paper's
-/// LargeRandSet instance size (Figures 12–13).
-pub const WITHIN_SCHEDULE_TASKS: usize = 1000;
-
-/// Seed of the within-schedule scaling fixture, shared by the
-/// `scaling_within_schedule` bench, the `bench_json` CI runner and the
-/// determinism tests so they all exercise the same instance.
-pub const WITHIN_SCHEDULE_SEED: u64 = 0x1000 + WITHIN_SCHEDULE_TASKS as u64;
-
 /// A SmallRandSet-shaped DAG with the given number of tasks (seeded).
 pub fn small_rand_dag(n_tasks: usize, seed: u64) -> TaskGraph {
     let mut rng = Pcg64::new(seed);

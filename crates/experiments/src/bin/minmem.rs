@@ -20,6 +20,7 @@ use mals_sched::{SolveCtx, SolveLimits, Solver};
 fn main() {
     let options = cli::parse_or_exit();
     cli::reject_campaign_flags(&options, "minmem");
+    cli::reject_threads(&options, "minmem");
     let tiles = options.tiles.unwrap_or(if options.full { 13 } else { 6 });
     let rand_tasks = options.tasks.unwrap_or(if options.full { 30 } else { 20 });
 
@@ -72,13 +73,7 @@ fn main() {
     }
 
     println!("workload,scheduler,min_memory,makespan_at_min,heft_memory,heft_makespan");
-    let parallel = options.parallel_or_sequential();
-    let pool = (parallel.resolved_threads() > 1).then(|| mals_util::WorkerPool::new(parallel));
-    let ctx = SolveCtx {
-        limits: SolveLimits::with_node_limit(200_000),
-        pool: pool.as_ref(),
-        ..Default::default()
-    };
+    let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(200_000));
     for (name, graph, platform) in &workloads {
         let baseline = heft_baseline(graph, platform);
         let upper = (baseline.peaks.max() * 1.5).max(1.0);

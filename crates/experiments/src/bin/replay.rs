@@ -6,7 +6,7 @@
 //! ```text
 //! replay --tasks N [--seed S] [--arrival poisson|bursty|at-once]
 //!        [--rate R] [--batch B] [--solver memheft|memminmin]
-//!        [--policy every-arrival|every-k:K|horizon:W] [--threads T]
+//!        [--policy every-arrival|every-k:K|horizon:W]
 //!        [--trace FILE] [--save-trace FILE] [--no-static] [--compact]
 //! ```
 //!
@@ -31,10 +31,9 @@ use mals_gen::{daggen, ArrivalProcess, ArrivalTrace, DaggenParams, WeightRanges}
 use mals_platform::Platform;
 use mals_sched::{
     online, MemHeft, MemMinMin, OnlineConfig, OnlineFlavor, ReplanPolicy, Scheduler, SolveCtx,
-    SolveLimits,
 };
 use mals_sim::{memory_peaks, validate, MemoryPeaks};
-use mals_util::{Json, ParallelConfig, Pcg64, WorkerPool};
+use mals_util::{Json, Pcg64};
 
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("replay: {message}");
@@ -49,7 +48,6 @@ struct Args {
     batch: usize,
     solver: String,
     policy: ReplanPolicy,
-    threads: usize,
     trace: Option<String>,
     save_trace: Option<String>,
     compare_static: bool,
@@ -65,7 +63,6 @@ fn parse_args() -> Args {
         batch: 16,
         solver: "memheft".into(),
         policy: ReplanPolicy::EveryArrival,
-        threads: 1,
         trace: None,
         save_trace: None,
         compare_static: true,
@@ -124,13 +121,6 @@ fn parse_args() -> Args {
                         fail("--policy expects every-arrival, every-k:K or horizon:W")
                     })
             }
-            "--threads" => {
-                args.threads = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t > 0)
-                    .unwrap_or_else(|| fail("--threads expects a positive integer"))
-            }
             "--trace" => {
                 args.trace = Some(
                     iter.next()
@@ -151,7 +141,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: replay --tasks N [--seed S] [--arrival poisson|bursty|at-once] \
                      [--rate R] [--batch B]\n       [--solver memheft|memminmin] \
-                     [--policy every-arrival|every-k:K|horizon:W] [--threads T]\n       \
+                     [--policy every-arrival|every-k:K|horizon:W]\n       \
                      [--trace FILE] [--save-trace FILE] [--no-static] [--compact]"
                 );
                 std::process::exit(0);
@@ -208,15 +198,8 @@ fn main() {
 
     let flavor = OnlineFlavor::parse(&args.solver).expect("validated by parse_args");
     let config = OnlineConfig::new(flavor, args.policy);
-    let pool =
-        (args.threads > 1).then(|| WorkerPool::new(ParallelConfig::with_threads(args.threads)));
-    let ctx = match &pool {
-        Some(pool) => SolveCtx::pooled(SolveLimits::default(), pool),
-        None => SolveCtx::sequential(),
-    };
-
     let wall = std::time::Instant::now();
-    let outcome = match online::replay(&graph, &platform, &trace, config, &ctx) {
+    let outcome = match online::replay(&graph, &platform, &trace, config, &SolveCtx::sequential()) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("replay: {e}");
@@ -242,7 +225,6 @@ fn main() {
         ),
         ("solver".to_string(), Json::str(&args.solver)),
         ("policy".to_string(), Json::str(args.policy.key())),
-        ("threads".to_string(), Json::Num(args.threads as f64)),
         ("makespan".to_string(), Json::Num(outcome.makespan)),
         ("peaks".to_string(), peaks_json(&online_peaks)),
         ("virtual_end".to_string(), Json::Num(outcome.virtual_end)),

@@ -20,7 +20,9 @@
 //! smoke path: one 10⁴-task instance through any registered solver.
 //!
 //! The flags override the corresponding request fields, so one request file
-//! can be replayed against every registered solver:
+//! can be replayed against every registered solver. `--threads` (the
+//! request's `threads` field) sizes the pool that races portfolio members;
+//! every other solve is sequential:
 //!
 //! ```text
 //! schedule --print-request > request.json

@@ -4,9 +4,11 @@
 //! `--tiles N`, `--dump-dot`, `--threads N`, `--exact-backend
 //! {bb,milp,lp-export}`, plus `--checkpoint PATH` / `--resume` /
 //! `--stop-after N` on the campaign binaries); anything heavier than this
-//! hand-rolled parser would be an unnecessary dependency. The thread count
-//! can also be set via the `MALS_THREADS` environment variable (`--threads`
-//! wins when both are given, `0` means all cores).
+//! hand-rolled parser would be an unnecessary dependency. `--threads`
+//! spreads independent solves over threads — the DAGs of a campaign or the
+//! memory bounds of a single-DAG sweep — and can also be set via the
+//! `MALS_THREADS` environment variable (`--threads` wins when both are
+//! given, `0` means all cores); `minmem` rejects it.
 
 use crate::campaign::CampaignIo;
 use mals_exact::{ExactBackendKind, MilpBackend};
@@ -46,12 +48,6 @@ impl Options {
         self.threads
             .map(ParallelConfig::with_threads)
             .or_else(ParallelConfig::env_override)
-    }
-
-    /// [`Options::parallel`] defaulting to a sequential configuration — the
-    /// shared `--threads` wiring of the single-DAG binaries.
-    pub fn parallel_or_sequential(&self) -> ParallelConfig {
-        self.parallel().unwrap_or_else(ParallelConfig::sequential)
     }
 
     /// Resolves the exact-series solver of a binary into a registry key
@@ -177,6 +173,22 @@ pub fn reject_campaign_flags(options: &Options, binary: &str) {
     }
 }
 
+/// Exits with status 2 when `--threads` was passed to a binary that runs
+/// one solve at a time (`minmem` bisects each bound after the previous
+/// one, and a single solve is sequential), by the same
+/// never-silently-ignore rule as [`reject_exact_backend`]. The
+/// `MALS_THREADS` environment variable is a session-wide default, not a
+/// flag, so it is not rejected.
+pub fn reject_threads(options: &Options, binary: &str) {
+    if options.threads.is_some() {
+        eprintln!(
+            "{binary}: --threads is not supported here (the search runs one solve at a \
+             time and every solve is sequential)"
+        );
+        std::process::exit(2);
+    }
+}
+
 /// `--exact-backend lp-export` handler shared by the binaries: prints the
 /// paper's § 4 ILP of `graph` in CPLEX LP text format on stdout, with the
 /// memory bounds pinned at HEFT's own requirement (the `α = 1` point of the
@@ -296,7 +308,6 @@ mod tests {
         // The flag always wins over the environment, so this is stable no
         // matter what MALS_THREADS is set to in the surrounding shell.
         assert_eq!(o.parallel().unwrap().resolved_threads(), 4);
-        assert_eq!(o.parallel_or_sequential().resolved_threads(), 4);
     }
 
     #[test]

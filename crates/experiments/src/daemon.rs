@@ -50,9 +50,9 @@
 //! solver once per window (cross-request batch formation — the same
 //! amortisation `Engine::solve_batch` gives a homogeneous batch) and
 //! contains a panicking solve to its own request (an `internal` error
-//! report), so the one solver thread survives it. The pool
-//! parallelises *inside* each solve, so a single solver thread is the
-//! correct concurrency: two windows in flight would contend for the pool.
+//! report), so the one solver thread survives it. The pool races
+//! portfolio members, so a single solver thread is the correct
+//! concurrency: two windows in flight would contend for the pool.
 
 use crate::service::{PreparedRequest, Service, ServiceError, SolveRequest, PROTOCOL_VERSION};
 use mals_sched::EngineConfig;
@@ -86,7 +86,8 @@ pub struct DaemonConfig {
     /// Largest window the solver thread drains per pass; within a window
     /// each distinct solver is built once (cross-request batching).
     pub batch_max: usize,
-    /// Worker threads of the long-lived engine pool (`0` = all cores).
+    /// Worker threads of the long-lived engine pool, which races portfolio
+    /// members (`0` = all cores). Every other solve is sequential.
     pub threads: usize,
     /// Frame-size cap per connection; an oversized frame is rejected
     /// without killing the connection.

@@ -19,7 +19,7 @@ use mals_exact::bounds::makespan_lower_bound;
 use mals_gen::{cholesky_dag, lu_dag, KernelCosts, SetParams};
 use mals_platform::Platform;
 use mals_sched::{SolveCtx, SolveLimits, Solver};
-use mals_util::{ParallelConfig, WorkerPool};
+use mals_util::ParallelConfig;
 
 /// Configuration of the Figure 10 campaign (SmallRandSet vs the optimal).
 #[derive(Debug, Clone)]
@@ -204,9 +204,8 @@ fn single_dag_sweep(
 ) -> SingleDagSweep {
     let heft_memory = heft_baseline(&graph, platform).peaks.max();
     let grid = memory_grid(heft_memory, steps);
-    // A single DAG cannot be spread over threads the way a campaign spreads
-    // whole DAGs, so the parallelism goes *inside* each schedule: one worker
-    // pool, shared by every solver through the solve context.
+    // The grid's memory bounds are independent solves, so `parallel` spreads
+    // them over threads the way a campaign spreads whole DAGs.
     let registry = mals_exact::solver_registry();
     let build = |key: &str| {
         registry
@@ -222,14 +221,11 @@ fn single_dag_sweep(
     if let Some(s) = &exact_solver {
         memory_aware.push(s);
     }
-    let pool = (parallel.resolved_threads() > 1).then(|| WorkerPool::new(parallel));
-    let ctx = SolveCtx {
-        limits: exact
+    let ctx = SolveCtx::with_limits(
+        exact
             .map(|(_, node_limit)| SolveLimits::with_node_limit(node_limit))
             .unwrap_or_default(),
-        pool: pool.as_ref(),
-        ..Default::default()
-    };
+    );
     let points = sweep_absolute(
         &graph,
         platform,
@@ -237,6 +233,7 @@ fn single_dag_sweep(
         &memory_aware,
         &[&heft, &minmin],
         &ctx,
+        parallel,
     );
     let lower_bound = makespan_lower_bound(&graph, platform);
     SingleDagSweep {
@@ -254,7 +251,7 @@ pub struct SingleRandConfig {
     pub n_tasks: usize,
     /// Number of memory points in the sweep.
     pub steps: usize,
-    /// Within-schedule thread configuration (ready-list evaluation).
+    /// Thread configuration spreading the sweep's memory bounds.
     pub parallel: ParallelConfig,
     /// Optional registry key of an exact solver adding an optimal series to
     /// the sweep (only sensible for small `n_tasks`).
@@ -352,7 +349,7 @@ pub struct LinalgConfig {
     pub tiles: usize,
     /// Number of memory points in the sweep.
     pub steps: usize,
-    /// Within-schedule thread configuration (ready-list evaluation).
+    /// Thread configuration spreading the sweep's memory bounds.
     pub parallel: ParallelConfig,
 }
 
@@ -534,6 +531,50 @@ mod tests {
                 // Bitwise equality: the parallel engine must not perturb a
                 // single makespan anywhere in the sweep.
                 assert_eq!(oa.makespan, ob.makespan, "{} diverged", oa.name);
+            }
+        }
+    }
+
+    #[test]
+    fn fig14_sweep_matches_pinned_makespans() {
+        // Makespans of the 5×5-tile LU sweep recorded from a build that
+        // solved every baseline at every bound, on one thread: solving the
+        // baselines once per sweep and spreading the bounds over threads
+        // must not move any of them.
+        let na = None;
+        #[rustfmt::skip]
+        let expected: [(f64, [Option<f64>; 4]); 11] = [
+            (0.0, [na, na, na, na]),
+            (3.0, [na, na, na, na]),
+            (5.0, [na, na, na, na]),
+            (8.0, [na, na, na, na]),
+            (10.0, [na, na, na, na]),
+            (13.0, [na, na, Some(4986.0), na]),
+            (15.0, [na, na, Some(4053.0), na]),
+            (18.0, [na, na, Some(3557.0), Some(3892.0)]),
+            (20.0, [na, na, Some(3533.0), Some(4368.0)]),
+            (23.0, [Some(3533.0), na, Some(3533.0), Some(3887.0)]),
+            (25.0, [Some(3533.0), na, Some(3533.0), Some(3867.0)]),
+        ];
+        for threads in [1, 2] {
+            let sweep = fig14(&LinalgConfig {
+                tiles: 5,
+                steps: 10,
+                parallel: ParallelConfig::with_threads(threads),
+            });
+            assert_eq!(sweep.points.len(), expected.len());
+            for (point, (bound, makespans)) in sweep.points.iter().zip(&expected) {
+                assert_eq!(point.memory_bound, *bound);
+                for (name, makespan) in ["HEFT", "MinMin", "MemHEFT", "MemMinMin"]
+                    .into_iter()
+                    .zip(makespans)
+                {
+                    assert_eq!(
+                        point.outcome(name).unwrap().makespan,
+                        *makespan,
+                        "{name} at bound {bound}, {threads} threads"
+                    );
+                }
             }
         }
     }

@@ -46,6 +46,5 @@ pub use service::{
     ServiceError, SolveReport, SolveRequest, PROTOCOL_VERSION,
 };
 pub use sweep::{
-    heft_baseline, heft_reference, memory_oblivious_result, sweep_absolute,
-    sweep_absolute_streaming, HeftBaseline, Reference, SweepPoint,
+    heft_baseline, heft_reference, sweep_absolute, HeftBaseline, Reference, SweepPoint,
 };

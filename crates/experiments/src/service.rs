@@ -88,8 +88,9 @@ pub struct SolveRequest {
     pub platform: Platform,
     /// Registry key of the solver (`"memheft"`, `"milp"`, …).
     pub solver: String,
-    /// Worker threads for within-schedule parallelism (`0` = all cores;
-    /// results are bit-identical for every setting).
+    /// Worker threads of the session pool, which races portfolio members
+    /// (`0` = all cores; results are bit-identical for every setting).
+    /// Every other solve is sequential.
     pub threads: usize,
     /// Budgets for exact solvers.
     pub limits: SolveLimits,
@@ -807,11 +808,10 @@ type SolverCache = Vec<((String, u64), Box<dyn Solver>)>;
 /// limits) and turns [`SolveRequest`]s into [`SolveReport`]s.
 ///
 /// Create one `Service` per process (or per daemon) and call
-/// [`Service::handle`] for every request — the worker pool is spawned once
-/// and amortised across the session, which is what the
-/// `engine/batch-solve-16x12-t2` bench quantifies (~7× over per-solve
-/// setup). The request's `threads` field is honoured only by
-/// [`Service::once`]; a long-lived session's pool is fixed at construction.
+/// [`Service::handle`] for every request — the worker pool that races
+/// portfolio members is spawned once and amortised across the session. The
+/// request's `threads` field is honoured only by [`Service::once`]; a
+/// long-lived session's pool is fixed at construction.
 pub struct Service {
     engine: Engine,
 }

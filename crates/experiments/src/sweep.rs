@@ -12,6 +12,7 @@ use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sched::{Heft, MinMin, Scheduler, SolveCtx, Solver};
 use mals_sim::{memory_peaks, MemoryPeaks};
+use mals_util::{parallel_map, ParallelConfig};
 
 /// The memory-oblivious HEFT baseline of one DAG: the makespan and memory
 /// peaks of the HEFT schedule (Topcuoglu et al.), which normalise both axes
@@ -101,24 +102,6 @@ impl SweepPoint {
     }
 }
 
-/// Runs a memory-oblivious solver and reports its makespan only when its
-/// own memory peaks fit in the bounds of `platform` (this is how the HEFT /
-/// MinMin series of Figures 11 and 13–15 are drawn: the baseline simply
-/// cannot run below its own memory requirement).
-pub fn memory_oblivious_result(
-    graph: &TaskGraph,
-    platform: &Platform,
-    solver: &dyn Solver,
-    ctx: &SolveCtx,
-) -> Option<f64> {
-    let unbounded = platform.unbounded();
-    let schedule = solver.solve(graph, &unbounded, ctx).schedule?;
-    let peaks = memory_peaks(graph, &unbounded, &schedule);
-    let fits = peaks.blue <= platform.mem_blue + mals_util::EPSILON
-        && peaks.red <= platform.mem_red + mals_util::EPSILON;
-    fits.then(|| schedule.makespan())
-}
-
 /// Solves and returns the makespan, distinguishing honest infeasibility
 /// (`None`) from an instance the solver *rejected* (cyclic graph, …), which
 /// panics with the recorded cause — a rejected instance must never be
@@ -136,56 +119,18 @@ pub(crate) fn checked_makespan(
     outcome.makespan()
 }
 
-/// Runs a memory-aware solver under the bounds of `platform`.
-fn memory_aware_result(
-    graph: &TaskGraph,
-    platform: &Platform,
-    solver: &dyn Solver,
-    ctx: &SolveCtx,
-) -> Option<f64> {
-    checked_makespan(solver, graph, platform, ctx)
-}
-
-/// Streaming core of the absolute memory sweeps: computes one point per
-/// bound and hands it to `on_point` as soon as it exists, so drivers can
-/// emit rows (or fold aggregates) without holding the whole sweep — at each
-/// bound, the memory-aware solvers run under the bound, and the
+/// Sweeps absolute memory bounds for one DAG (the skeleton of Figures 11,
+/// 13, 14 and 15), one point per bound in `memory_bounds` order: at each
+/// bound the memory-aware solvers run under the bound, and the
 /// memory-oblivious baselines are reported only where their own footprint
-/// fits.
-pub fn sweep_absolute_streaming(
-    graph: &TaskGraph,
-    platform: &Platform,
-    memory_bounds: &[f64],
-    memory_aware: &[&dyn Solver],
-    memory_oblivious: &[&dyn Solver],
-    ctx: &SolveCtx,
-    mut on_point: impl FnMut(SweepPoint),
-) {
-    for &bound in memory_bounds {
-        let bounded = platform.with_memory_bounds(bound, bound);
-        let mut outcomes = Vec::new();
-        for s in memory_oblivious {
-            outcomes.push(SchedulerOutcome {
-                name: s.name().to_string(),
-                makespan: memory_oblivious_result(graph, &bounded, s, ctx),
-            });
-        }
-        for s in memory_aware {
-            outcomes.push(SchedulerOutcome {
-                name: s.name().to_string(),
-                makespan: memory_aware_result(graph, &bounded, s, ctx),
-            });
-        }
-        on_point(SweepPoint {
-            memory_bound: bound,
-            outcomes,
-        });
-    }
-}
-
-/// Sweeps absolute memory bounds for one DAG (the skeleton of Figures 11, 13,
-/// 14 and 15), collecting every point — the convenience wrapper over
-/// [`sweep_absolute_streaming`] for sweeps small enough to hold.
+/// fits (this is how the HEFT / MinMin series are drawn: a baseline simply
+/// cannot run below its own memory requirement).
+///
+/// A baseline schedules on the unbounded platform, so its schedule does not
+/// depend on the bound: each one is solved once per sweep and only its
+/// footprint check runs per bound. `parallel` spreads the bounds over
+/// threads (every solve itself is sequential); the points are identical for
+/// every thread count.
 pub fn sweep_absolute(
     graph: &TaskGraph,
     platform: &Platform,
@@ -193,18 +138,48 @@ pub fn sweep_absolute(
     memory_aware: &[&dyn Solver],
     memory_oblivious: &[&dyn Solver],
     ctx: &SolveCtx,
+    parallel: ParallelConfig,
 ) -> Vec<SweepPoint> {
-    let mut points = Vec::with_capacity(memory_bounds.len());
-    sweep_absolute_streaming(
-        graph,
-        platform,
-        memory_bounds,
-        memory_aware,
-        memory_oblivious,
-        ctx,
-        |point| points.push(point),
-    );
-    points
+    let unbounded = platform.unbounded();
+    let baselines: Vec<(String, Option<(f64, MemoryPeaks)>)> = memory_oblivious
+        .iter()
+        .map(|s| {
+            let schedule = s.solve(graph, &unbounded, ctx).schedule;
+            let result = schedule.map(|schedule| {
+                (
+                    schedule.makespan(),
+                    memory_peaks(graph, &unbounded, &schedule),
+                )
+            });
+            (s.name().to_string(), result)
+        })
+        .collect();
+    parallel_map(memory_bounds, parallel, |&bound| {
+        let bounded = platform.with_memory_bounds(bound, bound);
+        let fits = |peaks: &MemoryPeaks| {
+            peaks.blue <= bounded.mem_blue + mals_util::EPSILON
+                && peaks.red <= bounded.mem_red + mals_util::EPSILON
+        };
+        let mut outcomes = Vec::with_capacity(baselines.len() + memory_aware.len());
+        for (name, result) in &baselines {
+            outcomes.push(SchedulerOutcome {
+                name: name.clone(),
+                makespan: result
+                    .filter(|(_, peaks)| fits(peaks))
+                    .map(|(makespan, _)| makespan),
+            });
+        }
+        for s in memory_aware {
+            outcomes.push(SchedulerOutcome {
+                name: s.name().to_string(),
+                makespan: checked_makespan(*s, graph, &bounded, ctx),
+            });
+        }
+        SweepPoint {
+            memory_bound: bound,
+            outcomes,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -239,14 +214,21 @@ mod tests {
     }
 
     #[test]
-    fn memory_oblivious_result_gated_by_footprint() {
+    fn memory_oblivious_baseline_gated_by_footprint() {
         let (g, _) = dex();
-        let ctx = SolveCtx::sequential();
-        let platform = Platform::single_pair(100.0, 100.0);
+        let platform = Platform::single_pair(0.0, 0.0);
         let heft = Heft::new();
-        assert!(memory_oblivious_result(&g, &platform, &heft, &ctx).is_some());
-        let tiny = Platform::single_pair(1.0, 1.0);
-        assert!(memory_oblivious_result(&g, &tiny, &heft, &ctx).is_none());
+        let sweep = sweep_absolute(
+            &g,
+            &platform,
+            &[1.0, 100.0],
+            &[],
+            &[&heft],
+            &SolveCtx::sequential(),
+            ParallelConfig::sequential(),
+        );
+        assert!(sweep[0].outcome("HEFT").unwrap().makespan.is_none());
+        assert!(sweep[1].outcome("HEFT").unwrap().makespan.is_some());
     }
 
     #[test]
@@ -266,6 +248,7 @@ mod tests {
             &[&memheft, &memminmin],
             &[&heft, &minmin],
             &ctx,
+            ParallelConfig::sequential(),
         );
         assert_eq!(sweep.len(), bounds.len());
         // Success is monotone in the memory bound for each solver.
@@ -299,7 +282,15 @@ mod tests {
         let ctx = SolveCtx::sequential();
         let memheft = MemHeft::new();
         let bounds: Vec<f64> = (3..=12).map(|i| i as f64).collect();
-        let sweep = sweep_absolute(&g, &platform, &bounds, &[&memheft], &[], &ctx);
+        let sweep = sweep_absolute(
+            &g,
+            &platform,
+            &bounds,
+            &[&memheft],
+            &[],
+            &ctx,
+            ParallelConfig::sequential(),
+        );
         let mut last = f64::INFINITY;
         for point in &sweep {
             if let Some(mk) = point.outcome("MemHEFT").unwrap().makespan {

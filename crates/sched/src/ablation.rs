@@ -7,12 +7,12 @@
 //! ablation benchmarks (`mals-bench`) can quantify their impact.
 
 use crate::error::ScheduleError;
-use crate::memheft::schedule_with_priority_engine;
+use crate::memheft::schedule_with_priority;
 use crate::traits::Scheduler;
 use mals_dag::{rank, TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{ParallelConfig, Pcg64};
+use mals_util::{CancelSignal, Pcg64};
 
 /// How tasks are ordered in the priority list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,7 +49,7 @@ pub enum MemoryPreference {
 }
 
 /// A configurable MemHEFT used by the ablation benchmarks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MemHeftVariant {
     /// Priority list construction.
     pub priority: PriorityScheme,
@@ -57,20 +57,6 @@ pub struct MemHeftVariant {
     pub tie_break: TieBreak,
     /// Memory preferred on EFT ties.
     pub memory_preference: MemoryPreference,
-    /// Thread configuration of the selection engine (sequential by default;
-    /// any setting produces bit-identical schedules).
-    pub parallel: ParallelConfig,
-}
-
-impl Default for MemHeftVariant {
-    fn default() -> Self {
-        MemHeftVariant {
-            priority: PriorityScheme::default(),
-            tie_break: TieBreak::default(),
-            memory_preference: MemoryPreference::default(),
-            parallel: ParallelConfig::sequential(),
-        }
-    }
 }
 
 impl MemHeftVariant {
@@ -122,12 +108,12 @@ impl Scheduler for MemHeftVariant {
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
         let order = self.priority_list(graph);
-        schedule_with_priority_engine(
+        schedule_with_priority(
             graph,
             platform,
             &order,
-            self.parallel,
             self.memory_preference == MemoryPreference::Red,
+            CancelSignal::default(),
         )
     }
 }

@@ -1,13 +1,13 @@
 //! The solver engine: a reusable session around a registry, a worker pool
 //! and default limits.
 //!
-//! Creating a worker pool spawns OS threads; doing that once per solve is
-//! measurable when a driver solves thousands of small DAGs (the campaign
-//! harness, the service endpoint under load). An [`Engine`] is created once,
-//! owns the pool and the default [`SolveLimits`], and hands every solve a
-//! [`SolveCtx`] borrowing them — so repeated [`Engine::solve`] calls and the
-//! batch API ([`Engine::solve_batch`]) amortise the startup across the whole
-//! session.
+//! Creating a worker pool spawns OS threads; doing that once per request is
+//! measurable when a driver solves thousands of small DAGs (the service
+//! endpoint under load). An [`Engine`] is created once, owns the pool and
+//! the default [`SolveLimits`], and hands every solve a [`SolveCtx`]
+//! borrowing them. The pool runs whole solves side by side — the members
+//! of a portfolio race ([`Engine::solve_portfolio`], also inside
+//! [`Engine::solve_batch`]); every other solve is sequential.
 //!
 //! ```
 //! use mals_sched::{Engine, EngineConfig, SolverRegistry};
@@ -220,11 +220,10 @@ impl Engine {
         Ok(portfolio.solve_race(graph, platform, &ctx))
     }
 
-    /// Solves many graphs with one solver instance, reusing the pool for the
-    /// within-schedule evaluations of every solve. The graphs are processed
-    /// in order on the calling thread (the pool parallelises *inside* each
-    /// solve; it must not be entered from two levels at once), and the
-    /// outcomes are returned in input order.
+    /// Solves many graphs with one solver instance, in order on the calling
+    /// thread, and returns the outcomes in input order. Every solve shares
+    /// the session's context, so a portfolio in a batch races its members
+    /// on the pool.
     pub fn solve_batch(
         &self,
         name: &str,

@@ -69,20 +69,10 @@ impl EstCache {
     }
 
     /// `true` when both per-memory evaluations of `task` are current.
-    pub fn is_fresh(&self, task: TaskId) -> bool {
+    #[cfg(test)]
+    fn is_fresh(&self, task: TaskId) -> bool {
         let slots = &self.slots[task.index()];
         slots[0].epoch == self.epoch[0] && slots[1].epoch == self.epoch[1]
-    }
-
-    /// Stores a `[blue, red]` pair computed against the current state (the
-    /// write-back path of the parallel fan-out).
-    pub fn store_pair(&mut self, task: TaskId, pair: [Option<EstBreakdown>; 2]) {
-        for (mem, value) in [Memory::Blue, Memory::Red].into_iter().zip(pair) {
-            self.slots[task.index()][mem.index()] = Slot {
-                epoch: self.epoch[mem.index()],
-                value,
-            };
-        }
     }
 
     /// The current `[blue, red]` evaluation pair of a ready `task`,

@@ -17,125 +17,51 @@
 
 use crate::error::ScheduleError;
 use crate::incremental::EstCache;
-use crate::partial::{CommitEffects, EstBreakdown, PartialSchedule};
+use crate::partial::{CommitEffects, PartialSchedule};
 use crate::traits::Scheduler;
 use mals_dag::{rank, TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{CancelSignal, ChunkedIndexSet, ParallelConfig, WorkerPool};
-
-/// Per-schedule scratch buffers of the selection loop: reused across every
-/// step so steady state allocates nothing per commit (the allocation-free
-/// commit path). `block` holds the priority positions of one parallel probe
-/// block, `stale`/`pairs` the cache-refresh fan-out, `effects` the commit
-/// record.
-#[derive(Debug, Default)]
-struct SelectScratch {
-    block: Vec<u32>,
-    stale: Vec<TaskId>,
-    pairs: Vec<[Option<EstBreakdown>; 2]>,
-    effects: CommitEffects,
-}
+use mals_util::{CancelSignal, ChunkedIndexSet};
 
 /// The MemHEFT scheduler (Algorithm 1 of the paper).
-///
-/// With [`MemHeft::with_parallelism`] the per-step scan of the priority list
-/// evaluates the ready candidates on a per-schedule [`WorkerPool`]; the
-/// committed placements — and therefore the schedule — stay bit-identical to
-/// the sequential run.
-#[derive(Debug, Clone, Copy)]
-pub struct MemHeft {
-    parallel: ParallelConfig,
-}
-
-impl Default for MemHeft {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemHeft;
 
 impl MemHeft {
-    /// Creates a (sequential) MemHEFT scheduler.
+    /// Creates a MemHEFT scheduler.
     pub fn new() -> Self {
-        MemHeft {
-            parallel: ParallelConfig::sequential(),
-        }
-    }
-
-    /// Creates a MemHEFT scheduler that evaluates ready candidates with the
-    /// given thread configuration.
-    pub fn with_parallelism(parallel: ParallelConfig) -> Self {
-        MemHeft { parallel }
+        MemHeft
     }
 }
 
-/// Runs the MemHEFT selection loop on an externally supplied priority list,
-/// sequentially (see [`schedule_with_priority_engine`]).
-///
-/// `order` must contain every task exactly once; the list is scanned from the
-/// front and the first task that is both ready and memory-feasible is
-/// committed, then the scan restarts. This entry point is shared with the
+/// The MemHEFT-family selection loop on an externally supplied priority
+/// list: scan `order` from the front, commit the first task that is both
+/// ready and memory-feasible, restart. This entry point is shared with the
 /// ablation variants (`mals_sched::ablation`), which only change how the
-/// priority list is built.
-pub fn schedule_with_priority(
-    graph: &TaskGraph,
-    platform: &Platform,
-    order: &[TaskId],
-) -> Result<Schedule, ScheduleError> {
-    schedule_with_priority_engine(graph, platform, order, ParallelConfig::sequential(), false)
-}
-
-/// The shared MemHEFT-family selection engine: scan `order` from the front,
-/// commit the first task that is both ready and memory-feasible, restart.
+/// priority list is built; `prefer_red` flips the memory chosen on exact
+/// EFT ties.
 ///
-/// `parallel` spreads the EST evaluations of the ready candidates over a
-/// [`WorkerPool`]; `prefer_red` flips the memory chosen on exact EFT ties
-/// (the ablation variants exercise both policies). For any fixed inputs the
-/// committed placements are identical for every thread count, because the
-/// parallel scan evaluates the same candidates against the same immutable
-/// state and keeps the first feasible one in priority order.
-pub fn schedule_with_priority_engine(
-    graph: &TaskGraph,
-    platform: &Platform,
-    order: &[TaskId],
-    parallel: ParallelConfig,
-    prefer_red: bool,
-) -> Result<Schedule, ScheduleError> {
-    let cancel = CancelSignal::default();
-    if parallel.resolved_threads() <= 1 {
-        schedule_with_priority_pooled(graph, platform, order, None, prefer_red, cancel)
-    } else {
-        // A transient pool for this one schedule; callers that solve many
-        // graphs should hold a pool (e.g. via an `Engine`) and use
-        // [`schedule_with_priority_pooled`] to amortise the thread startup.
-        let pool = WorkerPool::new(parallel);
-        schedule_with_priority_pooled(graph, platform, order, Some(&pool), prefer_red, cancel)
-    }
-}
-
-/// [`schedule_with_priority_engine`] on an externally owned worker pool
-/// (`None` or a 1-thread pool: sequential scan). The committed placements —
-/// and therefore the schedule — are bit-identical for every pool size.
+/// `order` must contain every task exactly once.
 ///
-/// The loop is incremental (the tentpole of the scaling refactor): the ready
-/// candidates are kept in a priority-position-ordered set maintained by
-/// [`PartialSchedule::commit`] instead of being rediscovered by an `O(n)`
-/// scan of the whole priority list at every step, and every EST evaluation
-/// goes through an exact [`EstCache`] that survives commits which did not
-/// touch the state the evaluation read. The committed task is still, at
-/// every step, the first ready task in priority order whose evaluation is
-/// feasible — the cache returns the same bits a fresh evaluation would — so
-/// the schedule is unchanged from the scan-everything engine.
+/// The loop is incremental: the ready candidates are kept in a
+/// priority-position-ordered set maintained by [`PartialSchedule::commit`]
+/// instead of being rediscovered by an `O(n)` scan of the whole priority
+/// list at every step, and every EST evaluation goes through an exact
+/// [`EstCache`] that survives commits which did not touch the state the
+/// evaluation read. The committed task is still, at every step, the first
+/// ready task in priority order whose evaluation is feasible — the cache
+/// returns the same bits a fresh evaluation would — so the schedule is
+/// unchanged from the scan-everything engine.
 ///
 /// `cancel` is polled once per committed task: when it trips, the loop
 /// returns [`ScheduleError::Cancelled`] without committing anything further
 /// (partial placements are discarded — a prefix of a schedule is not a
 /// schedule). [`CancelSignal::default`] never trips.
-pub fn schedule_with_priority_pooled(
+pub fn schedule_with_priority(
     graph: &TaskGraph,
     platform: &Platform,
     order: &[TaskId],
-    pool: Option<&WorkerPool>,
     prefer_red: bool,
     cancel: CancelSignal<'_>,
 ) -> Result<Schedule, ScheduleError> {
@@ -161,8 +87,9 @@ pub fn schedule_with_priority_pooled(
     positions.sort_unstable();
     let mut ready = ChunkedIndexSet::from_sorted(positions);
     let mut cache = EstCache::new(graph.n_tasks());
-    let mut scratch = SelectScratch::default();
-    let pool = pool.filter(|p| p.threads() > 1);
+    // The commit record, reused every step so steady state allocates
+    // nothing per commit.
+    let mut effects = CommitEffects::empty();
 
     while !partial.is_complete() {
         if cancel.is_cancelled() {
@@ -171,94 +98,26 @@ pub fn schedule_with_priority_pooled(
                 total: graph.n_tasks(),
             });
         }
-        let mut chosen = None;
-        match pool {
-            None => {
-                // Scan the ready candidates in priority order; the cache
-                // skips every evaluation whose inputs no commit touched.
-                for position in ready.iter() {
-                    let task = order[position as usize];
-                    if let Some(breakdown) = cache.best(&partial, task, prefer_red) {
-                        chosen = Some((position, task, breakdown));
-                        break;
-                    }
-                }
-            }
-            Some(pool) => {
-                chosen = first_feasible_par(
-                    &partial,
-                    order,
-                    &ready,
-                    &mut cache,
-                    prefer_red,
-                    pool,
-                    &mut scratch,
-                );
-            }
-        }
+        // Scan the ready candidates in priority order; the cache skips
+        // every evaluation whose inputs no commit touched.
+        let chosen = ready.iter().find_map(|position| {
+            let task = order[position as usize];
+            cache
+                .best(&partial, task, prefer_red)
+                .map(|breakdown| (position, task, breakdown))
+        });
         // No ready task fits in either memory, now or ever.
         let Some((position, task, breakdown)) = chosen else {
             return partial.finish_or_error();
         };
-        partial.commit_into(task, &breakdown, &mut scratch.effects);
+        partial.commit_into(task, &breakdown, &mut effects);
         ready.remove(position);
-        for &child in &scratch.effects.newly_ready {
+        for &child in &effects.newly_ready {
             ready.insert(position_of[child.index()]);
         }
-        cache.apply(&scratch.effects);
+        cache.apply(&effects);
     }
     partial.finish_or_error()
-}
-
-/// The parallel variant of one selection step: probe the head of the ready
-/// list inline (with ample memory it is almost always feasible, making the
-/// step as cheap as the sequential scan), then evaluate the stale candidates
-/// in pool-sized blocks — a block bounds the work wasted past the first
-/// feasible task while still giving every thread work per step.
-fn first_feasible_par(
-    partial: &PartialSchedule<'_>,
-    order: &[TaskId],
-    ready: &ChunkedIndexSet,
-    cache: &mut EstCache,
-    prefer_red: bool,
-    pool: &WorkerPool,
-    scratch: &mut SelectScratch,
-) -> Option<(u32, TaskId, EstBreakdown)> {
-    let head = ready.first()?;
-    let head_task = order[head as usize];
-    if let Some(breakdown) = cache.best(partial, head_task, prefer_red) {
-        return Some((head, head_task, breakdown));
-    }
-    let block = (pool.threads() * 4).max(crate::partial::PAR_EVAL_CUTOFF);
-    let mut rest = ready.iter().skip(1);
-    loop {
-        scratch.block.clear();
-        scratch.block.extend(rest.by_ref().take(block));
-        if scratch.block.is_empty() {
-            return None;
-        }
-        // Fill the cache for the block's stale candidates in one fan-out;
-        // fresh entries are reused as-is (their bits cannot differ from a
-        // recomputation).
-        scratch.stale.clear();
-        scratch.stale.extend(
-            scratch
-                .block
-                .iter()
-                .map(|&position| order[position as usize])
-                .filter(|&task| !cache.is_fresh(task)),
-        );
-        partial.evaluate_pairs_into(&scratch.stale, pool, &mut scratch.pairs);
-        for (&task, &pair) in scratch.stale.iter().zip(scratch.pairs.iter()) {
-            cache.store_pair(task, pair);
-        }
-        for &position in &scratch.block {
-            let task = order[position as usize];
-            if let Some(breakdown) = cache.best(partial, task, prefer_red) {
-                return Some((position, task, breakdown));
-            }
-        }
-    }
 }
 
 impl Scheduler for MemHeft {
@@ -268,7 +127,7 @@ impl Scheduler for MemHeft {
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
         let order = rank::rank_sorted_tasks(graph);
-        schedule_with_priority_engine(graph, platform, &order, self.parallel, false)
+        schedule_with_priority(graph, platform, &order, false, CancelSignal::default())
     }
 }
 
@@ -361,39 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_schedule_is_bit_identical_to_sequential() {
-        let mut rng = Pcg64::new(4321);
-        for _ in 0..4 {
-            let g = mals_gen::daggen::generate(
-                &DaggenParams::small_rand(),
-                &WeightRanges::small_rand(),
-                &mut rng,
-            );
-            let platform = Platform::new(2, 2, 180.0, 180.0).unwrap();
-            let sequential = MemHeft::new().schedule(&g, &platform).unwrap();
-            for threads in [2, 4, 8] {
-                let parallel =
-                    MemHeft::with_parallelism(mals_util::ParallelConfig::with_threads(threads))
-                        .schedule(&g, &platform)
-                        .unwrap();
-                assert_eq!(sequential, parallel, "{threads} threads diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_on_infeasible_instances() {
-        let (g, _) = dex();
-        let platform = Platform::single_pair(2.0, 2.0);
-        let seq = MemHeft::new().schedule(&g, &platform).unwrap_err();
-        let par = MemHeft::with_parallelism(mals_util::ParallelConfig::with_threads(4))
-            .schedule(&g, &platform)
-            .unwrap_err();
-        assert!(matches!(seq, ScheduleError::Infeasible { .. }));
-        assert!(matches!(par, ScheduleError::Infeasible { .. }));
-    }
-
-    #[test]
     fn rejects_cyclic_graph() {
         let mut g = mals_dag::TaskGraph::new();
         let a = g.add_task("a", 1.0, 1.0);
@@ -403,7 +229,8 @@ mod tests {
         let platform = Platform::default();
         // The rank computation itself requires acyclicity, so go through the
         // priority-list entry point with an arbitrary order.
-        let err = schedule_with_priority(&g, &platform, &[a, b]).unwrap_err();
+        let err = schedule_with_priority(&g, &platform, &[a, b], false, CancelSignal::default())
+            .unwrap_err();
         assert!(matches!(err, ScheduleError::InvalidGraph(_)));
     }
 }

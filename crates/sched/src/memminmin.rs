@@ -8,48 +8,27 @@
 
 use crate::error::ScheduleError;
 use crate::incremental::EstCache;
-use crate::partial::PartialSchedule;
+use crate::partial::{CommitEffects, PartialSchedule};
 use crate::traits::Scheduler;
 use mals_dag::{TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{CancelSignal, ParallelConfig, WorkerPool};
+use mals_util::CancelSignal;
 
 /// The MemMinMin scheduler (Algorithm 2 of the paper).
-///
-/// Every selection step evaluates the whole ready list; with
-/// [`MemMinMin::with_parallelism`] those evaluations are spread over a
-/// per-schedule [`WorkerPool`] and the schedule stays bit-identical to the
-/// sequential run.
-#[derive(Debug, Clone, Copy)]
-pub struct MemMinMin {
-    parallel: ParallelConfig,
-}
-
-impl Default for MemMinMin {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemMinMin;
 
 impl MemMinMin {
-    /// Creates a (sequential) MemMinMin scheduler.
+    /// Creates a MemMinMin scheduler.
     pub fn new() -> Self {
-        MemMinMin {
-            parallel: ParallelConfig::sequential(),
-        }
+        MemMinMin
     }
 
-    /// Creates a MemMinMin scheduler that evaluates the ready list with the
-    /// given thread configuration.
-    pub fn with_parallelism(parallel: ParallelConfig) -> Self {
-        MemMinMin { parallel }
-    }
-
-    /// Runs the selection loop on an externally owned worker pool (`None` or
-    /// a 1-thread pool: sequential). The schedule is bit-identical for every
-    /// pool size; callers solving many graphs hold one pool (e.g. via an
-    /// `Engine`) to amortise the thread startup.
+    /// Runs the selection loop, polling `cancel` once per committed task:
+    /// when it trips, the loop returns [`ScheduleError::Cancelled`] instead
+    /// of committing anything further. [`CancelSignal::default`] never
+    /// trips, which is what [`Scheduler::schedule`] passes.
     ///
     /// The loop is incremental: per-memory evaluations are cached in an
     /// exact [`EstCache`] and only the sides a commit actually touched are
@@ -58,28 +37,20 @@ impl MemMinMin {
     /// The selection itself still scans the ready list in task-id order with
     /// the exact comparison of [`PartialSchedule::best_ready_choice`], so
     /// the chosen placements are unchanged.
-    ///
-    /// `cancel` is polled once per committed task: when it trips, the loop
-    /// returns [`ScheduleError::Cancelled`] instead of committing anything
-    /// further. [`CancelSignal::default`] never trips.
-    pub fn schedule_pooled(
+    pub fn schedule_with_cancel(
         &self,
         graph: &TaskGraph,
         platform: &Platform,
-        pool: Option<&WorkerPool>,
         cancel: CancelSignal<'_>,
     ) -> Result<Schedule, ScheduleError> {
         graph.validate()?;
         let mut partial = PartialSchedule::new(graph, platform);
         let mut cache = EstCache::new(graph.n_tasks());
-        let pool = pool.filter(|p| p.threads() > 1);
         // Per-schedule scratch (the allocation-free commit path): the ready
-        // snapshot, the stale fan-out and the commit record are refilled in
-        // place every step, so steady state allocates nothing per commit.
+        // snapshot and the commit record are refilled in place every step,
+        // so steady state allocates nothing per commit.
         let mut ready: Vec<TaskId> = Vec::new();
-        let mut stale: Vec<TaskId> = Vec::new();
-        let mut pairs = Vec::new();
-        let mut effects = crate::partial::CommitEffects::empty();
+        let mut effects = CommitEffects::empty();
         while !partial.is_complete() {
             if cancel.is_cancelled() {
                 return Err(ScheduleError::Cancelled {
@@ -89,16 +60,6 @@ impl MemMinMin {
             }
             ready.clear();
             ready.extend(partial.ready_iter());
-            if let Some(pool) = pool {
-                // Refresh every stale candidate in one fan-out, then reduce
-                // over the (now fresh) cache on the calling thread.
-                stale.clear();
-                stale.extend(ready.iter().copied().filter(|&task| !cache.is_fresh(task)));
-                partial.evaluate_pairs_into(&stale, pool, &mut pairs);
-                for (&task, &pair) in stale.iter().zip(pairs.iter()) {
-                    cache.store_pair(task, pair);
-                }
-            }
             let mut best = None;
             for &task in &ready {
                 if let Some(breakdown) = cache.best(&partial, task, false) {
@@ -125,15 +86,7 @@ impl Scheduler for MemMinMin {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        let cancel = CancelSignal::default();
-        if self.parallel.resolved_threads() <= 1 {
-            self.schedule_pooled(graph, platform, None, cancel)
-        } else {
-            // One pool for the whole schedule: the workers persist across
-            // the thousands of selection steps instead of being re-spawned.
-            let pool = WorkerPool::new(self.parallel);
-            self.schedule_pooled(graph, platform, Some(&pool), cancel)
-        }
+        self.schedule_with_cancel(graph, platform, CancelSignal::default())
     }
 }
 
@@ -176,26 +129,6 @@ mod tests {
         assert_eq!(task, t1);
         assert_eq!(bd.memory, mals_platform::Memory::Red);
         assert_eq!(bd.eft, 1.0);
-    }
-
-    #[test]
-    fn parallel_schedule_is_bit_identical_to_sequential() {
-        let mut rng = Pcg64::new(1234);
-        for _ in 0..4 {
-            let g = mals_gen::daggen::generate(
-                &DaggenParams::small_rand(),
-                &WeightRanges::small_rand(),
-                &mut rng,
-            );
-            let platform = Platform::new(2, 2, 150.0, 150.0).unwrap();
-            let sequential = MemMinMin::new().schedule(&g, &platform).unwrap();
-            for threads in [2, 4, 8] {
-                let parallel = MemMinMin::with_parallelism(ParallelConfig::with_threads(threads))
-                    .schedule(&g, &platform)
-                    .unwrap();
-                assert_eq!(sequential, parallel, "{threads} threads diverged");
-            }
-        }
     }
 
     #[test]

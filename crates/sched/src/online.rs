@@ -33,7 +33,7 @@
 //! is always still valid — and it is a no-op at `t = 0`, which yields the
 //! static-equivalence oracle: a trace releasing the whole DAG at `t = 0`
 //! with [`ReplanPolicy::EveryArrival`] reproduces the static solver's
-//! schedule bit for bit, at any thread count.
+//! schedule bit for bit.
 //!
 //! The committed prefix is immutable by construction: a commit only ever
 //! appends to the [`PartialSchedule`], and re-plans only look at
@@ -222,10 +222,10 @@ impl Ord for QueuedEvent {
 /// Replays `trace` against `graph` on `platform` with rolling-horizon
 /// re-planning (see the module docs for the event-loop semantics).
 ///
-/// The schedule is bit-identical for every thread count of `ctx.pool`, and
-/// a trace releasing the whole DAG at `t = 0` under
+/// A trace releasing the whole DAG at `t = 0` under
 /// [`ReplanPolicy::EveryArrival`] reproduces the corresponding static
-/// solver exactly.
+/// solver exactly. The replay is sequential; `ctx` contributes only its
+/// cancellation signal.
 ///
 /// # Errors
 ///
@@ -290,8 +290,6 @@ struct Replayer<'a> {
     ready_positions: ChunkedIndexSet,
     // Per-replay scratch, reused so steady-state passes allocate nothing.
     ready_buf: Vec<TaskId>,
-    stale: Vec<TaskId>,
-    pairs: Vec<[Option<EstBreakdown>; 2]>,
     effects: CommitEffects,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
     seq: u64,
@@ -330,8 +328,6 @@ impl<'a> Replayer<'a> {
             position_of: vec![u32::MAX; n],
             ready_positions: ChunkedIndexSet::new(),
             ready_buf: Vec::new(),
-            stale: Vec::new(),
-            pairs: Vec::new(),
             effects: CommitEffects::empty(),
             queue: BinaryHeap::new(),
             seq: 0,
@@ -486,8 +482,8 @@ impl<'a> Replayer<'a> {
             // horizon-deferred starts.
             self.deferred_min = None;
             let chosen = match self.config.flavor {
-                OnlineFlavor::MemMinMin => self.select_min_eft(ctx, window),
-                OnlineFlavor::MemHeft => self.select_priority(ctx, window),
+                OnlineFlavor::MemMinMin => self.select_min_eft(window),
+                OnlineFlavor::MemHeft => self.select_priority(window),
             };
             let Some((task, breakdown)) = chosen else {
                 break;
@@ -529,37 +525,10 @@ impl<'a> Replayer<'a> {
         })
     }
 
-    /// Refreshes the cache for every stale candidate in one pool fan-out
-    /// (the raw, floor-free pairs — floors are applied at read time). With
-    /// no pool the sequential cache reads recompute lazily instead.
-    fn refresh_stale(&mut self, ctx: &SolveCtx) {
-        let Some(pool) = ctx.parallel_pool() else {
-            return;
-        };
-        let cache = &self.cache;
-        self.stale.clear();
-        self.stale.extend(
-            self.candidates
-                .iter()
-                .map(|id| TaskId::from_index(id as usize))
-                .filter(|&t| !cache.is_fresh(t)),
-        );
-        self.partial
-            .evaluate_pairs_into(&self.stale, pool, &mut self.pairs);
-        for (&task, &pair) in self.stale.iter().zip(self.pairs.iter()) {
-            self.cache.store_pair(task, pair);
-        }
-    }
-
     /// MemMinMin selection: the candidate with the globally smallest
     /// floored EFT (same comparison as the static loop). Beyond-window
     /// candidates are recorded as deferred instead of competing.
-    fn select_min_eft(
-        &mut self,
-        ctx: &SolveCtx,
-        window: Option<f64>,
-    ) -> Option<(TaskId, EstBreakdown)> {
-        self.refresh_stale(ctx);
+    fn select_min_eft(&mut self, window: Option<f64>) -> Option<(TaskId, EstBreakdown)> {
         let now = self.clock.now_secs();
         self.ready_buf.clear();
         self.ready_buf.extend(
@@ -587,12 +556,7 @@ impl<'a> Replayer<'a> {
     /// floored evaluation is feasible (and starts inside the window, when
     /// one applies) — the same "move down the list" rule as the static
     /// engine.
-    fn select_priority(
-        &mut self,
-        ctx: &SolveCtx,
-        window: Option<f64>,
-    ) -> Option<(TaskId, EstBreakdown)> {
-        self.refresh_stale(ctx);
+    fn select_priority(&mut self, window: Option<f64>) -> Option<(TaskId, EstBreakdown)> {
         let now = self.clock.now_secs();
         self.ready_buf.clear();
         let order = &self.order;
@@ -718,7 +682,7 @@ mod tests {
     use crate::traits::Scheduler;
     use mals_gen::{dex, ArrivalProcess, DaggenParams, WeightRanges};
     use mals_sim::validate;
-    use mals_util::{ParallelConfig, Pcg64, WorkerPool};
+    use mals_util::Pcg64;
 
     fn sample_graph(seed: u64) -> TaskGraph {
         let mut rng = Pcg64::new(seed);
@@ -768,32 +732,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(outcome.schedule, static_schedule, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn replay_is_thread_invariant() {
-        let g = sample_graph(10);
-        let platform = Platform::new(2, 2, 150.0, 150.0).unwrap();
-        let trace = ArrivalProcess::Poisson { rate: 0.7 }.generate(&g, 5);
-        for flavor in [OnlineFlavor::MemHeft, OnlineFlavor::MemMinMin] {
-            let sequential = replay(
-                &g,
-                &platform,
-                &trace,
-                every_arrival(flavor),
-                &SolveCtx::sequential(),
-            )
-            .unwrap();
-            for threads in [2, 4] {
-                let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
-                let ctx = SolveCtx::pooled(Default::default(), &pool);
-                let pooled = replay(&g, &platform, &trace, every_arrival(flavor), &ctx).unwrap();
-                assert_eq!(
-                    pooled.schedule, sequential.schedule,
-                    "{flavor:?} diverged at {threads} threads"
-                );
-            }
         }
     }
 

@@ -26,15 +26,7 @@ use crate::error::ScheduleError;
 use mals_dag::{TaskGraph, TaskId};
 use mals_platform::{Memory, MemoryState, Platform, ProcessorState};
 use mals_sim::{CommPlacement, Schedule, TaskPlacement};
-use mals_util::{ChunkedIndexSet, WorkerPool};
-
-/// Below this many candidate tasks a "parallel" evaluation runs inline on
-/// the calling thread: dispatching a handful of microsecond-scale EST
-/// evaluations to the pool costs more than it saves. The cutoff changes only
-/// where the work runs, never its result. Callers that batch candidates
-/// (MemHEFT's block scan) must size their batches at least this large or
-/// the pool is never engaged.
-pub(crate) const PAR_EVAL_CUTOFF: usize = 16;
+use mals_util::ChunkedIndexSet;
 
 /// The decomposition of the earliest start / finish time of a task on a
 /// candidate memory (Section 5.1 of the paper).
@@ -385,99 +377,9 @@ impl<'a> PartialSchedule<'a> {
         Self::combine_pair(self.evaluate_pair(task), prefer_red)
     }
 
-    /// Evaluates [`PartialSchedule::evaluate_best_with`] for every task in
-    /// `tasks`, spreading the evaluations over `pool` and returning the
-    /// breakdowns in input order.
-    ///
-    /// Every evaluation reads the same immutable staircase / processor state,
-    /// so the result is bit-identical to the sequential
-    /// `tasks.iter().map(...)` loop regardless of the thread count or the
-    /// partitioning (short lists are evaluated inline — dispatching a
-    /// handful of microsecond-scale evaluations costs more than it saves).
-    pub fn evaluate_tasks_par(
-        &self,
-        tasks: &[TaskId],
-        prefer_red: bool,
-        pool: &WorkerPool,
-    ) -> Vec<Option<EstBreakdown>> {
-        if pool.threads() <= 1 || tasks.len() < PAR_EVAL_CUTOFF {
-            tasks
-                .iter()
-                .map(|&t| self.evaluate_best_with(t, prefer_red))
-                .collect()
-        } else {
-            pool.run_indexed(tasks.len(), |i| {
-                self.evaluate_best_with(tasks[i], prefer_red)
-            })
-        }
-    }
-
-    /// [`PartialSchedule::evaluate_pair`] for every task in `tasks`, spread
-    /// over `pool`, in input order (the cache-fill fan-out of the
-    /// incremental engine; short lists are evaluated inline, like
-    /// [`PartialSchedule::evaluate_tasks_par`]).
-    pub fn evaluate_pairs_par(
-        &self,
-        tasks: &[TaskId],
-        pool: &WorkerPool,
-    ) -> Vec<[Option<EstBreakdown>; 2]> {
-        if pool.threads() <= 1 || tasks.len() < PAR_EVAL_CUTOFF {
-            tasks.iter().map(|&t| self.evaluate_pair(t)).collect()
-        } else {
-            pool.run_indexed(tasks.len(), |i| self.evaluate_pair(tasks[i]))
-        }
-    }
-
-    /// [`PartialSchedule::evaluate_pairs_par`] into a caller-owned buffer:
-    /// `out` is cleared and refilled in input order, reusing its capacity.
-    /// The solver loops call this with a per-schedule scratch vector so the
-    /// per-step fan-out allocates nothing in steady state; the results are
-    /// bit-identical to [`PartialSchedule::evaluate_pairs_par`].
-    pub fn evaluate_pairs_into(
-        &self,
-        tasks: &[TaskId],
-        pool: &WorkerPool,
-        out: &mut Vec<[Option<EstBreakdown>; 2]>,
-    ) {
-        if pool.threads() <= 1 || tasks.len() < PAR_EVAL_CUTOFF {
-            out.clear();
-            out.extend(tasks.iter().map(|&t| self.evaluate_pair(t)));
-        } else {
-            pool.run_indexed_into(tasks.len(), |i| self.evaluate_pair(tasks[i]), out);
-        }
-    }
-
-    /// Evaluates every ready task on both memories concurrently and returns
-    /// `(task, best breakdown)` pairs in task-id order (the parallel
-    /// counterpart of mapping [`PartialSchedule::evaluate_best`] over
-    /// [`PartialSchedule::ready_tasks`]).
-    pub fn evaluate_ready_par(&self, pool: &WorkerPool) -> Vec<(TaskId, Option<EstBreakdown>)> {
-        let ready = self.ready_tasks();
-        let breakdowns = self.evaluate_tasks_par(&ready, false, pool);
-        ready.into_iter().zip(breakdowns).collect()
-    }
-
-    /// The ready task with the globally smallest EFT and its breakdown — the
-    /// selection step of MemMinMin — with the EST evaluations spread over
-    /// `pool`. The reduction runs on the calling thread in task-id order
-    /// with the exact comparison of the sequential path, so the choice is
-    /// bit-identical to [`PartialSchedule::best_ready_choice`].
-    pub fn evaluate_best_par(&self, pool: &WorkerPool) -> Option<(TaskId, EstBreakdown)> {
-        let ready = self.ready_tasks();
-        let breakdowns = self.evaluate_tasks_par(&ready, false, pool);
-        let mut best: Option<(TaskId, EstBreakdown)> = None;
-        for (&task, bd) in ready.iter().zip(breakdowns) {
-            if let Some(bd) = bd {
-                if Self::is_better_choice(&best, task, &bd) {
-                    best = Some((task, bd));
-                }
-            }
-        }
-        best
-    }
-
-    /// Sequential counterpart of [`PartialSchedule::evaluate_best_par`]: one
-    /// MemMinMin selection step on the calling thread.
+    /// The ready task with the globally smallest EFT and its breakdown: one
+    /// uncached MemMinMin selection step (the reference the incremental
+    /// loop is checked against).
     pub fn best_ready_choice(&self) -> Option<(TaskId, EstBreakdown)> {
         let mut best: Option<(TaskId, EstBreakdown)> = None;
         for task in self.ready_iter() {
@@ -490,9 +392,9 @@ impl<'a> PartialSchedule<'a> {
         best
     }
 
-    /// The (EFT, task-index) ordering shared by the sequential and parallel
-    /// MemMinMin selection: smaller EFT wins, near-ties (within
-    /// [`mals_util::EPSILON`]) go to the smaller task id.
+    /// The (EFT, task-index) ordering of every MemMinMin selection (static,
+    /// online and [`PartialSchedule::best_ready_choice`]): smaller EFT wins,
+    /// near-ties (within [`mals_util::EPSILON`]) go to the smaller task id.
     pub(crate) fn is_better_choice(
         best: &Option<(TaskId, EstBreakdown)>,
         task: TaskId,
@@ -815,61 +717,6 @@ mod tests {
         let report = mals_sim::validate(&g, &p, &schedule);
         assert!(report.is_valid(), "errors: {:?}", report.errors);
         assert!(report.peaks.blue <= 12.0 + 1e-9);
-    }
-
-    /// A graph wide enough (40 ready sources) to push the parallel paths
-    /// past [`PAR_EVAL_CUTOFF`].
-    fn wide_graph() -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let sources: Vec<_> = (0..40)
-            .map(|i| g.add_task(format!("s{i}"), 1.0 + i as f64, 2.0 + (i % 7) as f64))
-            .collect();
-        let sink = g.add_task("sink", 1.0, 1.0);
-        for (i, &s) in sources.iter().enumerate() {
-            g.add_edge(s, sink, 1.0 + (i % 3) as f64, 0.5).unwrap();
-        }
-        g
-    }
-
-    #[test]
-    fn parallel_ready_evaluation_matches_sequential() {
-        let g = wide_graph();
-        let p = single_pair(500.0);
-        let ps = PartialSchedule::new(&g, &p);
-        let pool = mals_util::WorkerPool::new(mals_util::ParallelConfig::with_threads(4));
-        let par = ps.evaluate_ready_par(&pool);
-        let seq: Vec<_> = ps
-            .ready_tasks()
-            .into_iter()
-            .map(|t| (t, ps.evaluate_best(t)))
-            .collect();
-        assert_eq!(par.len(), seq.len());
-        for ((ta, ba), (tb, bb)) in par.iter().zip(&seq) {
-            assert_eq!(ta, tb);
-            assert_eq!(ba, bb);
-        }
-    }
-
-    #[test]
-    fn parallel_best_choice_matches_sequential() {
-        let g = wide_graph();
-        let p = single_pair(500.0);
-        let mut ps = PartialSchedule::new(&g, &p);
-        let pool = mals_util::WorkerPool::new(mals_util::ParallelConfig::with_threads(8));
-        while !ps.is_complete() {
-            let par = ps.evaluate_best_par(&pool);
-            let seq = ps.best_ready_choice();
-            match (par, seq) {
-                (Some((tp, bp)), Some((ts, bs))) => {
-                    assert_eq!(tp, ts);
-                    assert_eq!(bp, bs);
-                    ps.commit(tp, &bp);
-                }
-                (None, None) => break,
-                (par, seq) => panic!("parallel/sequential disagree: {par:?} vs {seq:?}"),
-            }
-        }
-        assert!(ps.is_complete());
     }
 
     #[test]

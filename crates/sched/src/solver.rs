@@ -21,7 +21,7 @@
 
 use crate::ablation::MemHeftVariant;
 use crate::error::ScheduleError;
-use crate::memheft::{schedule_with_priority_pooled, MemHeft};
+use crate::memheft::{schedule_with_priority, MemHeft};
 use crate::memminmin::MemMinMin;
 use crate::traits::Scheduler;
 use crate::unbounded::Unbounded;
@@ -70,8 +70,10 @@ impl SolveLimits {
 pub struct SolveCtx<'a> {
     /// Budgets for exact solvers.
     pub limits: SolveLimits,
-    /// Worker pool for within-schedule parallelism (`None`: run
-    /// sequentially). A pool of 1 thread is equivalent to `None`.
+    /// Worker pool for solvers that spread whole solves over threads — the
+    /// [`Portfolio`](crate::Portfolio) races its members on it (`None`: run
+    /// sequentially). A pool of 1 thread is equivalent to `None`. Every
+    /// single heuristic solve is sequential and ignores it.
     pub pool: Option<&'a WorkerPool>,
     /// Cooperative cancellation: solvers poll this once per committed task
     /// (heuristics) or explored node (exact backends) and return
@@ -305,8 +307,7 @@ impl Solver for MemHeft {
         "MemHEFT"
     }
 
-    /// MemHEFT with the ready-candidate evaluations spread over `ctx.pool`
-    /// (bit-identical to the sequential run for any thread count).
+    /// MemHEFT, polling `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         // The rank computation itself requires acyclicity, so reject
         // invalid graphs before building the priority list.
@@ -314,13 +315,8 @@ impl Solver for MemHeft {
             return SolveOutcome::from_heuristic(Err(e.into()));
         }
         let order = rank::rank_sorted_tasks(graph);
-        SolveOutcome::from_heuristic(schedule_with_priority_pooled(
-            graph,
-            platform,
-            &order,
-            ctx.parallel_pool(),
-            false,
-            ctx.cancel,
+        SolveOutcome::from_heuristic(schedule_with_priority(
+            graph, platform, &order, false, ctx.cancel,
         ))
     }
 }
@@ -330,15 +326,9 @@ impl Solver for MemMinMin {
         "MemMinMin"
     }
 
-    /// MemMinMin with the ready-list evaluations spread over `ctx.pool`
-    /// (bit-identical to the sequential run for any thread count).
+    /// MemMinMin, polling `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        SolveOutcome::from_heuristic(self.schedule_pooled(
-            graph,
-            platform,
-            ctx.parallel_pool(),
-            ctx.cancel,
-        ))
+        SolveOutcome::from_heuristic(self.schedule_with_cancel(graph, platform, ctx.cancel))
     }
 }
 
@@ -347,18 +337,17 @@ impl Solver for MemHeftVariant {
         Scheduler::name(self)
     }
 
-    /// The variant's selection engine on `ctx.pool`; the variant's own
-    /// `parallel` field only applies to the [`Scheduler`] entry point.
+    /// The variant's selection engine, polling `ctx.cancel` once per
+    /// committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         if let Err(e) = graph.validate() {
             return SolveOutcome::from_heuristic(Err(e.into()));
         }
         let order = self.priority_list(graph);
-        SolveOutcome::from_heuristic(schedule_with_priority_pooled(
+        SolveOutcome::from_heuristic(schedule_with_priority(
             graph,
             platform,
             &order,
-            ctx.parallel_pool(),
             self.memory_preference == crate::ablation::MemoryPreference::Red,
             ctx.cancel,
         ))
@@ -383,7 +372,6 @@ mod tests {
     use crate::{Heft, MinMin};
     use mals_gen::dex;
     use mals_sim::validate;
-    use mals_util::ParallelConfig;
 
     #[test]
     fn status_string_roundtrip() {
@@ -417,25 +405,6 @@ mod tests {
         assert_eq!(outcome.status, OptimalityStatus::Infeasible);
         assert!(outcome.schedule.is_none());
         assert!(outcome.error.is_none());
-    }
-
-    #[test]
-    fn pooled_solve_is_bit_identical_to_sequential() {
-        let (g, _) = dex();
-        let platform = Platform::single_pair(6.0, 6.0);
-        let sequential = SolveCtx::sequential();
-        let pool = WorkerPool::new(ParallelConfig::with_threads(4));
-        let pooled = SolveCtx::pooled(SolveLimits::default(), &pool);
-        for solver in [
-            &MemHeft::new() as &dyn Solver,
-            &MemMinMin::new(),
-            &Heft::new(),
-            &MinMin::new(),
-        ] {
-            let a = solver.solve(&g, &platform, &sequential);
-            let b = solver.solve(&g, &platform, &pooled);
-            assert_eq!(a.schedule, b.schedule, "{} diverged", solver.name());
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! of its own.
 //!
 //! [`Heft`] and [`MinMin`] are type aliases over the adapter, with inherent
-//! constructors so existing call sites (`Heft::new()`,
-//! `MinMin::with_parallelism(..)`) keep working unchanged. The solver
+//! constructors so existing call sites (`Heft::new()`, `MinMin::new()`)
+//! keep working unchanged. The solver
 //! registry builds its `"heft"` / `"minmin"` entries from the same adapter.
 
 use crate::error::ScheduleError;
@@ -20,7 +20,6 @@ use crate::traits::Scheduler;
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::ParallelConfig;
 
 /// Runs any scheduler with both memory capacities set to `+∞`, under its own
 /// display name.
@@ -69,16 +68,9 @@ pub type Heft = Unbounded<MemHeft>;
 pub type MinMin = Unbounded<MemMinMin>;
 
 impl Unbounded<MemHeft> {
-    /// Creates a (sequential) HEFT scheduler.
+    /// Creates a HEFT scheduler.
     pub fn new() -> Heft {
         Unbounded::of(MemHeft::new(), "HEFT")
-    }
-
-    /// Creates a HEFT scheduler whose selection loop evaluates ready
-    /// candidates with the given thread configuration (same engine as
-    /// [`MemHeft`], so the schedule is identical for every thread count).
-    pub fn with_parallelism(parallel: ParallelConfig) -> Heft {
-        Unbounded::of(MemHeft::with_parallelism(parallel), "HEFT")
     }
 }
 
@@ -89,16 +81,9 @@ impl Default for Unbounded<MemHeft> {
 }
 
 impl Unbounded<MemMinMin> {
-    /// Creates a (sequential) MinMin scheduler.
+    /// Creates a MinMin scheduler.
     pub fn new() -> MinMin {
         Unbounded::of(MemMinMin::new(), "MinMin")
-    }
-
-    /// Creates a MinMin scheduler whose ready-list evaluation uses the given
-    /// thread configuration (same engine as [`MemMinMin`], so the schedule
-    /// is identical for every thread count).
-    pub fn with_parallelism(parallel: ParallelConfig) -> MinMin {
-        Unbounded::of(MemMinMin::with_parallelism(parallel), "MinMin")
     }
 }
 

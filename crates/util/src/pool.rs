@@ -3,8 +3,8 @@
 //! Two layers are provided:
 //!
 //! * [`WorkerPool`] — a reusable pool of persistent worker threads. A pool is
-//!   created once (e.g. per schedule under construction) and then runs many
-//!   small batches of indexed work without re-spawning threads. Work is
+//!   created once (e.g. per solver session) and then runs many batches of
+//!   indexed work without re-spawning threads. Work is
 //!   partitioned into contiguous chunks claimed from a shared atomic index
 //!   (self-scheduling, no work stealing) and results are reduced in input
 //!   order, so the output of [`WorkerPool::run_indexed`] is deterministic and
@@ -12,9 +12,9 @@
 //! * [`parallel_map`] / [`parallel_map_indexed`] — a one-shot convenience
 //!   wrapper that builds a transient pool, maps a closure over a slice and
 //!   tears the pool down again. The experiment campaigns use it to spread
-//!   whole DAGs over threads; the within-schedule engine of `mals-sched`
-//!   holds a [`WorkerPool`] instead because it dispatches thousands of small
-//!   ready-list evaluations per schedule.
+//!   whole DAGs (or the memory bounds of one sweep) over threads; the
+//!   solver engine of `mals-sched` holds a [`WorkerPool`] instead because a
+//!   session races portfolio members request after request.
 //!
 //! Rather than pulling in a full work-stealing runtime, this keeps the
 //! dependency set empty: plain `std` threads, a condvar for batch hand-off
@@ -250,49 +250,6 @@ impl WorkerPool {
             .into_iter()
             .map(|slot| slot.expect("every index must have been processed"))
             .collect()
-    }
-
-    /// [`WorkerPool::run_indexed`] into a caller-owned buffer: `out` is
-    /// cleared and refilled with `(0..len).map(f)` in index order, reusing
-    /// its existing capacity. The allocation-free commit path of the
-    /// schedulers calls this with per-schedule scratch vectors so steady
-    /// state performs no result-buffer allocation per selection step.
-    pub fn run_indexed_into<R, F>(&self, len: usize, f: F, out: &mut Vec<R>)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        out.clear();
-        if len == 0 {
-            return;
-        }
-        if self.workers.is_empty() || len == 1 {
-            out.extend((0..len).map(f));
-            return;
-        }
-        let chunk = self.claim_size(len);
-        // Workers append (start, local results) per claimed range; the
-        // ranges are disjoint, so sorting by start and concatenating
-        // reproduces index order exactly — the same bits `run_indexed`
-        // returns.
-        let results: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-        let runner = |start: usize, end: usize| {
-            let mut local = Vec::with_capacity(end - start);
-            for i in start..end {
-                local.push(f(i));
-            }
-            results
-                .lock()
-                .expect("worker pool results poisoned")
-                .push((start, local));
-        };
-        self.run_batch(&runner, len, chunk);
-        let mut ranges = results.into_inner().expect("worker pool results poisoned");
-        ranges.sort_unstable_by_key(|&(start, _)| start);
-        for (_, local) in ranges {
-            out.extend(local);
-        }
-        debug_assert_eq!(out.len(), len, "every index must have been processed");
     }
 
     /// Chunks claimed per synchronisation: at least the configured minimum,

@@ -7,15 +7,14 @@
 //! pre-refactor loops *verbatim* on the public `PartialSchedule` API —
 //! scan-everything, fresh evaluation at every step, no cache — and asserts
 //! that every production scheduler produces **bit-identical** schedules (and
-//! identical failures) across random DAGs, thread counts 1/2/4, and memory
-//! bounds from hopeless to ample.
+//! identical failures) across random DAGs and memory bounds from hopeless to
+//! ample.
 
 use mals::dag::rank;
 use mals::gen::{DaggenParams, WeightRanges};
 use mals::prelude::*;
 use mals::sched::{MemHeftVariant, MemoryPreference, PartialSchedule, PriorityScheme};
 use mals::sim::memory_peaks;
-use mals::util::ParallelConfig;
 use proptest::prelude::*;
 
 /// The pre-refactor MemHEFT selection engine: scan the priority list from
@@ -101,23 +100,20 @@ fn bounded(graph: &TaskGraph, platform: &Platform, fraction: f64) -> Platform {
     platform.with_memory_bounds(bound, bound)
 }
 
-fn assert_matches_reference<S: Scheduler>(
-    build: impl Fn(ParallelConfig) -> S,
+fn assert_matches_reference(
+    scheduler: &dyn Scheduler,
     reference: &Result<Schedule, String>,
     graph: &TaskGraph,
     platform: &Platform,
 ) {
-    for threads in [1usize, 2, 4] {
-        let scheduler = build(ParallelConfig::with_threads(threads));
-        let outcome = scheduler
-            .schedule(graph, platform)
-            .map_err(|e| e.to_string());
-        assert!(
-            outcome == *reference,
-            "{} with {threads} threads diverged from the pre-refactor engine",
-            scheduler.name()
-        );
-    }
+    let outcome = scheduler
+        .schedule(graph, platform)
+        .map_err(|e| e.to_string());
+    assert!(
+        outcome == *reference,
+        "{} diverged from the pre-refactor engine",
+        scheduler.name()
+    );
 }
 
 proptest! {
@@ -135,9 +131,9 @@ proptest! {
             let bounded = bounded(&graph, &platform, fraction);
             let order = rank::rank_sorted_tasks(&graph);
             let memheft_ref = reference_priority_schedule(&graph, &bounded, &order, false);
-            assert_matches_reference(MemHeft::with_parallelism, &memheft_ref, &graph, &bounded);
+            assert_matches_reference(&MemHeft::new(), &memheft_ref, &graph, &bounded);
             let memminmin_ref = reference_memminmin(&graph, &bounded);
-            assert_matches_reference(MemMinMin::with_parallelism, &memminmin_ref, &graph, &bounded);
+            assert_matches_reference(&MemMinMin::new(), &memminmin_ref, &graph, &bounded);
         }
     }
 
@@ -169,25 +165,18 @@ proptest! {
                 &order,
                 preference == MemoryPreference::Red,
             );
-            assert_matches_reference(
-                |parallel| MemHeftVariant { parallel, ..variant },
-                &reference,
-                &graph,
-                &bounded,
-            );
+            assert_matches_reference(&variant, &reference, &graph, &bounded);
         }
     }
 }
 
 /// The paper-scale fixture: the exact 1000-task LargeRandSet instance the
-/// benches measure, scheduled at a binding 70% bound — the incremental
-/// engine must reproduce the scan-everything schedule bit for bit.
+/// `memminmin/largerand-1000-t1` bench measures, scheduled at a binding 70%
+/// bound — the incremental engine must reproduce the scan-everything
+/// schedule bit for bit.
 #[test]
 fn large_rand_1000_tasks_matches_pre_refactor() {
-    let graph = mals_bench::large_rand_dag(
-        mals_bench::WITHIN_SCHEDULE_TASKS,
-        mals_bench::WITHIN_SCHEDULE_SEED,
-    );
+    let graph = mals_bench::large_rand_dag(1000, 0x1000 + 1000);
     let platform = Platform::single_pair(0.0, 0.0);
     let bounded = bounded(&graph, &platform, 0.7);
     let order = rank::rank_sorted_tasks(&graph);

