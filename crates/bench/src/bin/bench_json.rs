@@ -19,8 +19,9 @@ use mals_dag::TaskGraph;
 use mals_exact::{solver_registry, ExactBackend, MilpBackend, SolveLimits};
 use mals_experiments::heft_baseline;
 use mals_platform::Platform;
-use mals_sched::{Engine, EngineConfig, MemHeft, MemMinMin, Scheduler};
+use mals_sched::{Engine, EngineConfig, Heft, MemHeft, MemMinMin, Scheduler};
 use mals_util::{parallel_map, ParallelConfig};
+use std::rc::Rc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// One measured benchmark: an id stable across runs and a closure whose
@@ -239,16 +240,29 @@ fn benches(quick: bool) -> Vec<Bench> {
     // breakpoint storage + chunked ready frontier + allocation-free commit
     // path at the scale they exist for — the flat-Vec engine took ~13 s of
     // staircase memmoves here, the chunked one takes ~1.5 s end-to-end.
+    //
+    // `sched/heft-100k` runs HEFT on the same graph with `+∞` memories, where
+    // the engine keeps no memory profile at all: it guards that fast path.
     {
-        let huge_graph = large_rand_dag(100_000, 0xBEEF + 100_000);
+        let huge_graph = Rc::new(large_rand_dag(100_000, 0xBEEF + 100_000));
         let platform = single_pair(0.0);
         let baseline = heft_baseline(&huge_graph, &platform);
         let bound = baseline.peaks.max();
         let huge_platform = platform.with_memory_bounds(bound, bound);
+        let graph = Rc::clone(&huge_graph);
         set.push(Bench {
             id: "sched/memheft-100k".into(),
             run: Box::new(move || {
-                let result = MemHeft::new().schedule(&huge_graph, &huge_platform);
+                let result = MemHeft::new().schedule(&graph, &huge_platform);
+                std::hint::black_box(result.is_ok());
+            }),
+            min_samples: Some(3),
+        });
+        let unbounded = platform.unbounded();
+        set.push(Bench {
+            id: "sched/heft-100k".into(),
+            run: Box::new(move || {
+                let result = Heft::new().schedule(&huge_graph, &unbounded);
                 std::hint::black_box(result.is_ok());
             }),
             min_samples: Some(3),

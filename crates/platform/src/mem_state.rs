@@ -10,6 +10,11 @@
 //! * release space when a file is consumed, and
 //! * find the earliest instant after which a given amount of space is
 //!   available **for good** (the `task_mem_EST` / `comm_mem_EST` queries).
+//!
+//! A memory with a `+∞` bound keeps no profile: the mutators return at once
+//! and [`MemoryState::earliest_fit`] answers without looking, so the
+//! memory-oblivious baselines (HEFT, MinMin) pay nothing for staircases that
+//! no query would ever read.
 
 use crate::memory::Memory;
 use crate::platform::Platform;
@@ -37,7 +42,16 @@ impl MemoryState {
         self.bounds[mem.index()]
     }
 
+    /// Whether memory `µ` keeps a usage profile: only a bounded memory
+    /// does, since nothing reads the profile of an unbounded one.
+    #[inline]
+    fn keeps_profile(&self, mem: Memory) -> bool {
+        !self.bound(mem).is_infinite()
+    }
+
     /// Amount of memory `µ` in use at time `t`.
+    ///
+    /// An unbounded memory keeps no profile, so this reads `0` there.
     #[inline]
     pub fn used_at(&self, mem: Memory, t: f64) -> f64 {
         self.used[mem.index()].value_at(t)
@@ -53,7 +67,7 @@ impl MemoryState {
     /// Reserves `amount` units of memory `µ` from time `t` onwards
     /// (a file produced at `t` whose consumer is not scheduled yet).
     pub fn reserve_from(&mut self, mem: Memory, t: f64, amount: f64) {
-        if amount != 0.0 {
+        if amount != 0.0 && self.keeps_profile(mem) {
             self.used[mem.index()].add_from(t, amount);
         }
     }
@@ -62,7 +76,7 @@ impl MemoryState {
     /// known to be consumed at `t2`, e.g. an input file of the task being
     /// scheduled, or a file in transit during a cross-memory copy).
     pub fn reserve_range(&mut self, mem: Memory, t1: f64, t2: f64, amount: f64) {
-        if amount != 0.0 {
+        if amount != 0.0 && self.keeps_profile(mem) {
             self.used[mem.index()].add_range(t1, t2, amount);
         }
     }
@@ -71,7 +85,7 @@ impl MemoryState {
     /// reserved with [`MemoryState::reserve_from`] whose consumer has now
     /// been scheduled to complete at `t`).
     pub fn release_from(&mut self, mem: Memory, t: f64, amount: f64) {
-        if amount != 0.0 {
+        if amount != 0.0 && self.keeps_profile(mem) {
             self.used[mem.index()].add_from(t, -amount);
         }
     }
@@ -100,13 +114,9 @@ impl MemoryState {
         }
     }
 
-    /// Peak usage of memory `µ` over the whole horizon.
-    pub fn peak_usage(&self, mem: Memory) -> f64 {
-        self.used[mem.index()].max_value()
-    }
-
     /// Checks the internal invariants: usage is never negative and never
-    /// exceeds the capacity (up to the shared tolerance).
+    /// exceeds the capacity (up to the shared tolerance). An unbounded
+    /// memory keeps no profile, so only bounded memories are checked.
     pub fn check_invariants(&self) -> Result<(), String> {
         for mem in Memory::BOTH {
             let profile = &self.used[mem.index()];
@@ -123,12 +133,6 @@ impl MemoryState {
             }
         }
         Ok(())
-    }
-
-    /// Read-only access to the usage profile of memory `µ` (for tracing and
-    /// tests).
-    pub fn usage_profile(&self, mem: Memory) -> &Staircase {
-        &self.used[mem.index()]
     }
 }
 
@@ -147,7 +151,6 @@ mod tests {
         assert_eq!(m.used_at(Memory::Blue, 0.0), 0.0);
         assert_eq!(m.free_at(Memory::Blue, 5.0), 10.0);
         assert_eq!(m.free_at(Memory::Red, 5.0), 20.0);
-        assert_eq!(m.peak_usage(Memory::Blue), 0.0);
         assert!(m.check_invariants().is_ok());
     }
 
@@ -160,10 +163,12 @@ mod tests {
         assert_eq!(m.free_at(Memory::Blue, 3.0), 6.0);
         m.release_from(Memory::Blue, 6.0, 4.0);
         assert_eq!(m.used_at(Memory::Blue, 7.0), 0.0);
-        assert_eq!(m.peak_usage(Memory::Blue), 4.0);
+        // The peak: 4 units on [2, 6).
+        assert_eq!(m.used_at(Memory::Blue, 2.0), 4.0);
+        assert_eq!(m.used_at(Memory::Blue, 5.9), 4.0);
         assert!(m.check_invariants().is_ok());
         // The red memory was never touched.
-        assert_eq!(m.peak_usage(Memory::Red), 0.0);
+        assert_eq!(m.used_at(Memory::Red, 3.0), 0.0);
     }
 
     #[test]
@@ -226,6 +231,22 @@ mod tests {
         let mut m = bounded(100.0, 100.0);
         m.reserve_range(Memory::Blue, 0.0, 10.0, 30.0);
         m.reserve_range(Memory::Blue, 5.0, 8.0, 50.0);
-        assert!(approx_eq(m.peak_usage(Memory::Blue), 80.0));
+        // The peak instant is the overlap [5, 8).
+        assert!(approx_eq(m.used_at(Memory::Blue, 5.0), 80.0));
+        assert!(approx_eq(m.used_at(Memory::Blue, 9.0), 30.0));
+    }
+
+    #[test]
+    fn unbounded_memory_keeps_no_profile() {
+        let mut m = bounded(f64::INFINITY, 10.0);
+        m.reserve_from(Memory::Blue, 1.0, 5.0);
+        m.reserve_range(Memory::Blue, 0.0, 4.0, 3.0);
+        m.release_from(Memory::Blue, 2.0, 9.0);
+        assert_eq!(m.used_at(Memory::Blue, 3.0), 0.0);
+        assert_eq!(m.free_at(Memory::Blue, 3.0), f64::INFINITY);
+        assert!(m.check_invariants().is_ok());
+        // The bounded memory still tracks its usage.
+        m.reserve_range(Memory::Red, 0.0, 4.0, 3.0);
+        assert_eq!(m.used_at(Memory::Red, 1.0), 3.0);
     }
 }

@@ -241,34 +241,6 @@ impl<'a> PartialSchedule<'a> {
         }
     }
 
-    /// Sum of the input files of `task` that would have to be brought into
-    /// `mem` (files produced on the other memory).
-    fn incoming_cross_size(&self, task: TaskId, mem: Memory) -> f64 {
-        self.graph
-            .in_edges(task)
-            .iter()
-            .filter(|&&e| {
-                let src = self.graph.edge(e).src;
-                self.assigned_memory[src.index()] == Some(mem.other())
-            })
-            .map(|&e| self.graph.edge(e).size)
-            .sum()
-    }
-
-    /// Longest incoming cross-memory transfer of `task` if placed on `mem`
-    /// (`C⁽µ⁾_i` in the paper).
-    fn comm_window(&self, task: TaskId, mem: Memory) -> f64 {
-        self.graph
-            .in_edges(task)
-            .iter()
-            .filter(|&&e| {
-                let src = self.graph.edge(e).src;
-                self.assigned_memory[src.index()] == Some(mem.other())
-            })
-            .map(|&e| self.graph.edge(e).comm_cost)
-            .fold(0.0, f64::max)
-    }
-
     /// Evaluates the earliest start / finish time of `task` on `mem`.
     ///
     /// Returns `None` when the task is not ready (some parent unplaced) or
@@ -283,9 +255,15 @@ impl<'a> PartialSchedule<'a> {
         // resource_EST: a processor of `mem` must be free.
         let resource = self.procs.earliest_available(mem);
 
-        // precedence_EST: every parent finished, plus the transfer time for
-        // parents hosted on the other memory.
+        // One pass over the in-edges:
+        // * precedence_EST: every parent finished, plus the transfer time
+        //   for parents hosted on the other memory;
+        // * the input files that would have to be brought into `mem`
+        //   (produced on the other memory), summed in in-edge order;
+        // * `C⁽µ⁾_i`: the longest of those incoming transfers.
         let mut precedence = 0.0f64;
+        let mut cross_inputs = 0.0;
+        let mut comm_window = 0.0f64;
         for &e in self.graph.in_edges(task) {
             let edge = self.graph.edge(e);
             let parent_mem = self.assigned_memory[edge.src.index()]
@@ -294,16 +272,16 @@ impl<'a> PartialSchedule<'a> {
                 + if parent_mem == mem {
                     0.0
                 } else {
+                    cross_inputs += edge.size;
+                    comm_window = comm_window.max(edge.comm_cost);
                     edge.comm_cost
                 };
             precedence = precedence.max(arrival);
         }
 
         // Memory requirements: new files that must fit in `mem`.
-        let cross_inputs = self.incoming_cross_size(task, mem);
         let outputs = self.graph.output_size(task);
         let task_need = cross_inputs + outputs;
-        let comm_window = self.comm_window(task, mem);
 
         let task_mem = self.mem.earliest_fit(mem, 0.0, task_need)?;
         let comm_mem = self.mem.earliest_fit(mem, 0.0, cross_inputs)?;

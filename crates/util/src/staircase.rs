@@ -15,17 +15,43 @@
 //! # Storage and complexity
 //!
 //! Breakpoints are stored in sorted order across a sequence of fixed-capacity
-//! *chunks* (at most `CHUNK_CAP` = 64 breakpoints each). Each chunk carries a
-//! suffix-extrema index over its own values, and a chunk-level index
-//! (`first_x`, `chunk_suffix`) summarises the chunks, so with `k` breakpoints
-//! [`value_at`], [`min_from`], [`earliest_sustained_ge`] and
-//! [`earliest_sustained_le`] are `O(log k)` via two-level `partition_point`.
-//! Breakpoint insertion is `O(CHUNK_CAP)` — a full chunk splits in two,
-//! sparse chunks re-merge — instead of the `O(k)` tail memmove of a flat
-//! vector, which profiling showed was the last super-logarithmic term per
-//! scheduler commit at 10⁵ tasks. Likewise, repairing the extrema indices
-//! after a mutation touches only the chunks whose values changed plus an
-//! early-stopping leftward walk over the chunk summaries.
+//! *chunks* (at most `C` = 64 breakpoints each), with a `first_x` index of
+//! every chunk's first coordinate. Over the chunks sits one contiguous
+//! tournament (segment) tree whose leaves hold each chunk's `(min, max)`:
+//!
+//! ```text
+//!   tree[1] = (min, max) of the whole function
+//!        ├── tree[2] ──┬── leaf 0: chunk 0   [(x, v) × ≤ C]
+//!        │             └── leaf 1: chunk 1
+//!        └── tree[3] ──┬── leaf 2: chunk 2
+//!                      └── leaf 3: padding (+∞, −∞)
+//! ```
+//!
+//! With `k` breakpoints (`k/C` chunks):
+//!
+//! | operation | cost |
+//! |---|---|
+//! | [`value_at`] | `O(log k)`: `partition_point` on `first_x`, then in the chunk |
+//! | [`max_value`] | `O(1)`: the root |
+//! | [`min_from`] | `O(C + log(k/C))`: the chunk's tail plus a tree range query |
+//! | [`earliest_sustained_ge`] / [`earliest_sustained_le`] | `O(C + log(k/C))`: descend to the last violating chunk, then `rposition` in it |
+//! | mutation repair | `O(touched·C + log(k/C))` |
+//! | chunk split / merge | `O(k/C)` leaf shift, rare |
+//!
+//! A mutation re-folds the extrema of each chunk whose values it touched and
+//! updates the tree level by level above them, stopping at the first level
+//! where no node changed. The scheduler's reserve/release pattern mutates
+//! near the end of the horizon, so a repair touches a chunk or two and a
+//! handful of tree nodes. Breakpoint insertion is `O(C)` — a full chunk
+//! splits in two, sparse chunks re-merge — instead of the `O(k)` tail
+//! memmove of a flat vector. A split or merge shifts the leaves to the right
+//! of the change without re-folding them; the whole tree is laid out afresh
+//! only when its leaf capacity must grow or shrink.
+//!
+//! Min and max are exact, and the queries' predicates are monotone in the
+//! value, so the tree finds the same breakpoint a flat suffix-extrema scan
+//! would: answers are bit-identical to the historical flat implementation
+//! (kept in the tests as the oracle).
 //!
 //! # Why deltas are applied eagerly (no per-chunk lazy offsets)
 //!
@@ -49,6 +75,7 @@
 //! *where* the points live, never the float operations performed on them.
 //!
 //! [`value_at`]: Staircase::value_at
+//! [`max_value`]: Staircase::max_value
 //! [`min_from`]: Staircase::min_from
 //! [`earliest_sustained_ge`]: Staircase::earliest_sustained_ge
 //! [`earliest_sustained_le`]: Staircase::earliest_sustained_le
@@ -66,8 +93,36 @@ const CHUNK_MIN: usize = 16;
 /// A sparse merge only happens if the combined chunk stays at or below this.
 const MERGE_MAX: usize = CHUNK_CAP - CHUNK_MIN;
 
-/// Neutral element for (min, max) extrema folds.
+/// Neutral element for (min, max) extrema folds; also every padding leaf.
 const NEUTRAL: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// Combines two (min, max) extrema.
+#[inline]
+fn join(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+    (a.0.min(b.0), a.1.max(b.1))
+}
+
+/// (min, max) of the values of one chunk (`NEUTRAL` when empty).
+#[inline]
+fn extrema(points: &[(f64, f64)]) -> (f64, f64) {
+    points
+        .iter()
+        .fold(NEUTRAL, |(lo, hi), &(_, v)| (lo.min(v), hi.max(v)))
+}
+
+/// A tournament tree with `cap` leaves (a power of two) over `leaves`, one
+/// per chunk: padding leaves are `NEUTRAL` and every internal node folds
+/// its two children (see [`Staircase`]'s `tree` field).
+fn tree_over(cap: usize, leaves: impl IntoIterator<Item = (f64, f64)>) -> Vec<(f64, f64)> {
+    let mut tree = vec![NEUTRAL; 2 * cap];
+    for (slot, leaf) in tree[cap..].iter_mut().zip(leaves) {
+        *slot = leaf;
+    }
+    for i in (1..cap).rev() {
+        tree[i] = join(tree[2 * i], tree[2 * i + 1]);
+    }
+    tree
+}
 
 /// A position in the two-level storage: breakpoint `idx` of chunk `chunk`.
 ///
@@ -86,40 +141,6 @@ const POS_INF: Pos = Pos {
     idx: 0,
 };
 
-/// One storage chunk: a sorted run of breakpoints plus its suffix extrema.
-#[derive(Debug, Clone)]
-struct Chunk {
-    /// Breakpoints `(x, v)`, sorted by strictly increasing `x`.
-    points: Vec<(f64, f64)>,
-    /// `suffix[i] = (min, max)` of the values `points[i..]` of this chunk.
-    suffix: Vec<(f64, f64)>,
-}
-
-impl Chunk {
-    fn with_point(pt: (f64, f64)) -> Self {
-        let mut points = Vec::with_capacity(CHUNK_CAP);
-        points.push(pt);
-        let mut suffix = Vec::with_capacity(CHUNK_CAP);
-        suffix.push((pt.1, pt.1));
-        Chunk { points, suffix }
-    }
-
-    /// Rebuilds the per-chunk suffix extrema by a right-to-left fold.
-    fn rebuild_suffix(&mut self) {
-        let n = self.points.len();
-        self.suffix.clear();
-        self.suffix.resize(n, NEUTRAL);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in (0..n).rev() {
-            let v = self.points[i].1;
-            lo = lo.min(v);
-            hi = hi.max(v);
-            self.suffix[i] = (lo, hi);
-        }
-    }
-}
-
 /// A piecewise-constant function `f : [0, +∞) → ℝ`.
 ///
 /// Semantically a sorted list of breakpoints `(x_i, v_i)`, meaning
@@ -131,19 +152,24 @@ impl Chunk {
 pub struct Staircase {
     /// The chunks, globally sorted: every `x` in `chunks[c]` is strictly
     /// less than every `x` in `chunks[c + 1]`. Never empty; no chunk is
-    /// empty.
-    chunks: Vec<Chunk>,
+    /// empty; each holds breakpoints `(x, v)` by strictly increasing `x`.
+    chunks: Vec<Vec<(f64, f64)>>,
     /// `first_x[c]` = x-coordinate of the first breakpoint of chunk `c`.
     first_x: Vec<f64>,
-    /// `chunk_suffix[c]` = (min, max) of **all** values from the start of
-    /// chunk `c` to the end of the function.
-    chunk_suffix: Vec<(f64, f64)>,
+    /// Tournament tree over the chunks, 1-based (`tree[0]` is unused):
+    /// leaf `tree[cap + c]` is the (min, max) of chunk `c`'s values, leaves
+    /// past the last chunk are `NEUTRAL`, and every internal node `i` is
+    /// `join(tree[2i], tree[2i + 1])`.
+    tree: Vec<(f64, f64)>,
+    /// Leaf capacity of `tree`: a power of two with
+    /// `chunks.len() ≤ cap < 4 · chunks.len()`.
+    cap: usize,
     /// Total number of breakpoints.
     n: usize,
 }
 
 /// Equality is a property of the function, i.e. of the breakpoints; the
-/// extrema indices are derived data.
+/// extrema tree is derived data.
 impl PartialEq for Staircase {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.breakpoints().eq(other.breakpoints())
@@ -153,10 +179,13 @@ impl PartialEq for Staircase {
 impl Staircase {
     /// Creates a function that is constant and equal to `value` everywhere.
     pub fn constant(value: f64) -> Self {
+        let mut points = Vec::with_capacity(CHUNK_CAP);
+        points.push((0.0, value));
         Staircase {
-            chunks: vec![Chunk::with_point((0.0, value))],
+            chunks: vec![points],
             first_x: vec![0.0],
-            chunk_suffix: vec![(value, value)],
+            tree: vec![NEUTRAL, (value, value)],
+            cap: 1,
             n: 1,
         }
     }
@@ -176,12 +205,9 @@ impl Staircase {
         // Fill chunks to less than capacity so later point insertions do
         // not split immediately.
         const FILL: usize = CHUNK_CAP - CHUNK_MIN;
-        let mut out = Staircase {
-            chunks: Vec::new(),
-            first_x: Vec::new(),
-            chunk_suffix: Vec::new(),
-            n: 0,
-        };
+        let mut chunks: Vec<Vec<(f64, f64)>> = Vec::new();
+        let mut first_x = Vec::new();
+        let mut n = 0;
         let mut last: Option<(f64, f64)> = None;
         for (x, v) in points {
             if let Some((px, pv)) = last {
@@ -193,25 +219,27 @@ impl Staircase {
                 assert_eq!(x, 0.0, "first breakpoint must be at x = 0");
             }
             last = Some((x, v));
-            match out.chunks.last_mut() {
-                Some(ch) if ch.points.len() < FILL => ch.points.push((x, v)),
+            match chunks.last_mut() {
+                Some(ch) if ch.len() < FILL => ch.push((x, v)),
                 _ => {
-                    out.chunks.push(Chunk::with_point((x, v)));
-                    out.first_x.push(x);
+                    let mut ch = Vec::with_capacity(CHUNK_CAP);
+                    ch.push((x, v));
+                    chunks.push(ch);
+                    first_x.push(x);
                 }
             }
-            out.n += 1;
+            n += 1;
         }
-        assert!(out.n > 0, "a staircase needs at least one breakpoint");
-        out.chunk_suffix.resize(out.chunks.len(), NEUTRAL);
-        let mut tail = NEUTRAL;
-        for c in (0..out.chunks.len()).rev() {
-            out.chunks[c].rebuild_suffix();
-            let local = out.chunks[c].suffix[0];
-            tail = (local.0.min(tail.0), local.1.max(tail.1));
-            out.chunk_suffix[c] = tail;
+        assert!(n > 0, "a staircase needs at least one breakpoint");
+        let cap = chunks.len().next_power_of_two();
+        let tree = tree_over(cap, chunks.iter().map(|ch| extrema(ch)));
+        Staircase {
+            chunks,
+            first_x,
+            tree,
+            cap,
+            n,
         }
-        out
     }
 
     /// Number of breakpoints in the internal representation.
@@ -226,21 +254,21 @@ impl Staircase {
 
     /// Iterates over the breakpoints `(x_i, v_i)` of the representation.
     pub fn breakpoints(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.chunks.iter().flat_map(|c| c.points.iter().copied())
+        self.chunks.iter().flat_map(|c| c.iter().copied())
     }
 
     // ---- position arithmetic ------------------------------------------
 
     #[inline]
     fn point(&self, p: Pos) -> (f64, f64) {
-        self.chunks[p.chunk].points[p.idx]
+        self.chunks[p.chunk][p.idx]
     }
 
     /// Normalises an end-of-chunk position to the start of the next chunk
     /// (the global end stays at `(last, len)`).
     #[inline]
     fn normalize(&self, p: Pos) -> Pos {
-        if p.idx == self.chunks[p.chunk].points.len() && p.chunk + 1 < self.chunks.len() {
+        if p.idx == self.chunks[p.chunk].len() && p.chunk + 1 < self.chunks.len() {
             Pos {
                 chunk: p.chunk + 1,
                 idx: 0,
@@ -263,7 +291,7 @@ impl Staircase {
             let c = p.chunk - 1;
             Pos {
                 chunk: c,
-                idx: self.chunks[c].points.len() - 1,
+                idx: self.chunks[c].len() - 1,
             }
         } else {
             Pos { chunk: 0, idx: 0 }
@@ -284,8 +312,7 @@ impl Staircase {
         if c == 0 {
             return Pos { chunk: 0, idx: 0 };
         }
-        let ch = &self.chunks[c - 1];
-        let i = ch.points.partition_point(|&(x, _)| pred(x));
+        let i = self.chunks[c - 1].partition_point(|&(x, _)| pred(x));
         self.normalize(Pos {
             chunk: c - 1,
             idx: i,
@@ -299,16 +326,90 @@ impl Staircase {
         self.pos_prev(self.pp(|x| x <= t + EPSILON))
     }
 
-    /// Suffix extrema (min, max) of all values from position `p` to the end.
-    #[inline]
-    fn suffix_at(&self, p: Pos) -> (f64, f64) {
-        let local = self.chunks[p.chunk].suffix[p.idx];
-        let tail = self
-            .chunk_suffix
-            .get(p.chunk + 1)
-            .copied()
-            .unwrap_or(NEUTRAL);
-        (local.0.min(tail.0), local.1.max(tail.1))
+    // ---- tournament tree ----------------------------------------------
+
+    /// Extrema of chunks `[c, len)`: a bottom-up range query over the
+    /// leaves (padding leaves are neutral, so the range runs to `cap`).
+    fn chunks_from(&self, c: usize) -> (f64, f64) {
+        let (mut l, mut r) = (self.cap + c, 2 * self.cap);
+        let mut acc = NEUTRAL;
+        while l < r {
+            if l & 1 == 1 {
+                acc = join(acc, self.tree[l]);
+                l += 1;
+            }
+            if r & 1 == 1 {
+                r -= 1;
+                acc = join(acc, self.tree[r]);
+            }
+            l /= 2;
+            r /= 2;
+        }
+        acc
+    }
+
+    /// The last chunk whose extrema `fail`, found by descending from the
+    /// root into the right child whenever it fails. `fail` must be monotone
+    /// (a join fails iff one of its parts does), which holds for the
+    /// threshold tests of the sustained queries.
+    fn last_failing_chunk(&self, fail: impl Fn((f64, f64)) -> bool) -> Option<usize> {
+        if !fail(self.tree[1]) {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.cap {
+            i = if fail(self.tree[2 * i + 1]) {
+                2 * i + 1
+            } else {
+                2 * i
+            };
+        }
+        Some(i - self.cap)
+    }
+
+    /// Re-folds the internal nodes above leaves `[lo, hi)` level by level,
+    /// stopping at the first level where no node changed.
+    fn refresh(&mut self, lo: usize, hi: usize) {
+        if lo >= hi {
+            return;
+        }
+        let (mut l, mut r) = (self.cap + lo, self.cap + hi - 1);
+        while l > 1 {
+            l /= 2;
+            r /= 2;
+            let mut changed = false;
+            for i in l..=r {
+                let new = join(self.tree[2 * i], self.tree[2 * i + 1]);
+                if new != self.tree[i] {
+                    self.tree[i] = new;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Lays the tree out afresh with `cap` leaves, copying (not re-folding)
+    /// the current leaves. Only called when the capacity must change.
+    fn relayout(&mut self, cap: usize) {
+        let n = self.chunks.len();
+        self.tree = tree_over(cap, self.tree[self.cap..self.cap + n].iter().copied());
+        self.cap = cap;
+    }
+
+    /// Removes chunk `c`, shifting the leaves of the later chunks left by
+    /// one; returns its points and leaf. The caller refreshes the internal
+    /// nodes above the old leaf range `[c, old_len)`.
+    fn remove_chunk(&mut self, c: usize) -> (Vec<(f64, f64)>, (f64, f64)) {
+        let n = self.chunks.len();
+        let leaf = self.cap + c;
+        let ext = self.tree[leaf];
+        self.tree.copy_within(leaf + 1..self.cap + n, leaf);
+        self.tree[self.cap + n - 1] = NEUTRAL;
+        self.first_x.remove(c);
+        (self.chunks.remove(c), ext)
     }
 
     // ---- queries ------------------------------------------------------
@@ -323,46 +424,12 @@ impl Staircase {
     /// Returns the value of the last (rightmost) segment, i.e. `f(+∞)`.
     pub fn final_value(&self) -> f64 {
         let ch = self.chunks.last().expect("staircase always has a segment");
-        ch.points.last().expect("chunks are never empty").1
-    }
-
-    /// Returns the minimum of the function over `[0, +∞)`.
-    pub fn min_value(&self) -> f64 {
-        self.chunk_suffix[0].0
+        ch.last().expect("chunks are never empty").1
     }
 
     /// Returns the maximum of the function over `[0, +∞)`.
     pub fn max_value(&self) -> f64 {
-        self.chunk_suffix[0].1
-    }
-
-    /// Position range `[lo, hi)` of the segments intersecting the window
-    /// `[t1, t2)` (with the shared tolerance on both ends).
-    fn window_range(&self, t1: f64, t2: f64) -> (Pos, Pos) {
-        // First segment whose end reaches past t1: segment ends are the
-        // breakpoints shifted by one, so this is the predecessor of the
-        // boundary among breakpoint starts …
-        let lo = self.pos_prev(self.pp(|x| x <= t1 + EPSILON));
-        // … up to the last segment starting before t2.
-        let hi = self.pp(|x| x < t2 - EPSILON);
-        (lo, hi)
-    }
-
-    /// Left-to-right fold of the values at positions `[a, b)`.
-    fn fold_values(&self, a: Pos, b: Pos, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
-        let mut acc = init;
-        if a >= b {
-            return acc;
-        }
-        for c in a.chunk..=b.chunk.min(self.chunks.len() - 1) {
-            let pts = &self.chunks[c].points;
-            let s = if c == a.chunk { a.idx } else { 0 };
-            let e = if c == b.chunk { b.idx } else { pts.len() };
-            for &(_, v) in &pts[s..e] {
-                acc = f(acc, v);
-            }
-        }
-        acc
+        self.tree[1].1
     }
 
     /// Returns the maximum of the function over `[t1, t2)`.
@@ -372,19 +439,23 @@ impl Staircase {
         if t2 <= t1 + EPSILON {
             return f64::NEG_INFINITY;
         }
-        let (lo, hi) = self.window_range(t1, t2);
-        self.fold_values(lo.min(hi), hi, f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Returns the minimum of the function over `[t1, t2)`.
-    ///
-    /// Returns `+∞` if the interval is empty.
-    pub fn min_over(&self, t1: f64, t2: f64) -> f64 {
-        if t2 <= t1 + EPSILON {
-            return f64::INFINITY;
+        // First segment whose end reaches past t1: segment ends are the
+        // breakpoints shifted by one, so this is the predecessor of the
+        // boundary among breakpoint starts …
+        let lo = self.pos_prev(self.pp(|x| x <= t1 + EPSILON));
+        // … up to the last segment starting before t2.
+        let hi = self.pp(|x| x < t2 - EPSILON);
+        let lo = lo.min(hi);
+        let mut acc = f64::NEG_INFINITY;
+        for c in lo.chunk..=hi.chunk.min(self.chunks.len() - 1) {
+            let pts = &self.chunks[c];
+            let s = if c == lo.chunk { lo.idx } else { 0 };
+            let e = if c == hi.chunk { hi.idx } else { pts.len() };
+            for &(_, v) in &pts[s..e] {
+                acc = acc.max(v);
+            }
         }
-        let (lo, hi) = self.window_range(t1, t2);
-        self.fold_values(lo.min(hi), hi, f64::INFINITY, f64::min)
+        acc
     }
 
     /// Returns the minimum of the function over `[t, +∞)`.
@@ -393,52 +464,27 @@ impl Staircase {
         // the segment containing (or reaching past) t onwards.
         let first = self.pos_prev(self.pp(|x| x <= t + EPSILON));
         let first = first.min(self.pp(|x| x < t - EPSILON));
-        self.suffix_at(first).0
+        let local = self.chunks[first.chunk][first.idx..]
+            .iter()
+            .fold(f64::INFINITY, |lo, &(_, v)| lo.min(v));
+        local.min(self.chunks_from(first.chunk + 1).0)
     }
 
     /// Finds the earliest time `t ≥ t_min` such that `f(t') ≥ threshold` for
     /// **every** `t' ≥ t`. Returns `None` if no such time exists (the last
     /// segment is below the threshold).
     ///
-    /// This is the query used to compute `task_mem_EST` and `comm_mem_EST`
-    /// in the MemHEFT / MemMinMin heuristics. Runs in `O(log k)`: the
-    /// suffix-minimum is non-decreasing and `approx_ge(·, threshold)` is
-    /// monotone, so the all-satisfying suffixes form a suffix of the
-    /// position range, located by a chunk-level then in-chunk
-    /// `partition_point`.
+    /// This is the availability form of the `task_mem_EST` / `comm_mem_EST`
+    /// query of the MemHEFT / MemMinMin heuristics. Runs in
+    /// `O(C + log(k/C))`: the tree locates the last chunk holding a value
+    /// below the threshold, and the earliest sustained time is the end of
+    /// that chunk's last violating segment.
     pub fn earliest_sustained_ge(&self, t_min: f64, threshold: f64) -> Option<f64> {
-        let t_min = t_min.max(0.0);
-        if !approx_ge(self.final_value(), threshold) {
+        let violates = |v: f64| !approx_ge(v, threshold);
+        if violates(self.final_value()) {
             return None;
         }
-        // First chunk whose start already begins an all-satisfying suffix.
-        let c = self
-            .chunk_suffix
-            .partition_point(|&(lo, _)| !approx_ge(lo, threshold));
-        if c == 0 {
-            return Some(t_min);
-        }
-        // The boundary lies in chunk c-1 (its own chunk_suffix still fails,
-        // so its first in-chunk candidate is at index ≥ 1); combine the
-        // in-chunk suffix with the tail of later chunks when testing.
-        let tail_min = self.chunk_suffix.get(c).map_or(f64::INFINITY, |s| s.0);
-        let ch = &self.chunks[c - 1];
-        let i = ch
-            .suffix
-            .partition_point(|&(lo, _)| !approx_ge(lo.min(tail_min), threshold));
-        let first_ok = self.normalize(Pos {
-            chunk: c - 1,
-            idx: i,
-        });
-        // Rightmost violation lives just before `first_ok`; the earliest
-        // sustained time is that segment's end — the breakpoint at
-        // `first_ok` itself — unless the violation ends before `t_min`.
-        let end = self.point(first_ok).0;
-        if end <= t_min + EPSILON {
-            Some(t_min)
-        } else {
-            Some(t_min.max(end))
-        }
+        Some(self.after_last_violation(t_min.max(0.0), |(lo, _)| violates(lo), violates))
     }
 
     /// Finds the earliest time `t ≥ t_min` such that `f(t') ≤ threshold` for
@@ -447,40 +493,43 @@ impl Staircase {
     ///
     /// This is the mirror of [`Staircase::earliest_sustained_ge`], used when
     /// the staircase tracks memory *usage* rather than *availability*; it
-    /// searches the suffix-maximum indices the same way.
+    /// descends the tree on the chunk maxima the same way.
     pub fn earliest_sustained_le(&self, t_min: f64, threshold: f64) -> Option<f64> {
-        let t_min = t_min.max(0.0);
-        if self.final_value() > threshold + EPSILON {
+        let violates = |v: f64| v > threshold + EPSILON;
+        if violates(self.final_value()) {
             return None;
         }
-        let c = self
-            .chunk_suffix
-            .partition_point(|&(_, hi)| hi > threshold + EPSILON);
-        if c == 0 {
-            return Some(t_min);
-        }
-        let tail_max = self.chunk_suffix.get(c).map_or(f64::NEG_INFINITY, |s| s.1);
-        let ch = &self.chunks[c - 1];
-        let i = ch
-            .suffix
-            .partition_point(|&(_, hi)| hi.max(tail_max) > threshold + EPSILON);
-        let first_ok = self.normalize(Pos {
-            chunk: c - 1,
-            idx: i,
-        });
-        let end = self.point(first_ok).0;
-        if end <= t_min + EPSILON {
-            Some(t_min)
-        } else {
-            Some(t_min.max(end))
-        }
+        Some(self.after_last_violation(t_min.max(0.0), |(_, hi)| violates(hi), violates))
     }
 
-    /// Returns `true` if `f(t) ≥ threshold` for all `t ≥ t_min`.
-    pub fn sustained_ge(&self, t_min: f64, threshold: f64) -> bool {
-        match self.earliest_sustained_ge(t_min, threshold) {
-            Some(t) => approx_eq(t, t_min.max(0.0)) || t <= t_min,
-            None => false,
+    /// Shared tail of the sustained queries: the end of the last segment
+    /// whose value `violates`, clamped to `t_min` (`t_min` itself when no
+    /// segment violates). The final segment must not violate.
+    fn after_last_violation(
+        &self,
+        t_min: f64,
+        chunk_violates: impl Fn((f64, f64)) -> bool,
+        violates: impl Fn(f64) -> bool,
+    ) -> f64 {
+        let Some(c) = self.last_failing_chunk(chunk_violates) else {
+            return t_min;
+        };
+        let i = self.chunks[c]
+            .iter()
+            .rposition(|&(_, v)| violates(v))
+            .expect("a violating chunk holds a violating value");
+        // The violation ends at the next breakpoint, which exists because
+        // the final segment satisfies the threshold.
+        let end = self
+            .point(self.normalize(Pos {
+                chunk: c,
+                idx: i + 1,
+            }))
+            .0;
+        if end <= t_min + EPSILON {
+            t_min
+        } else {
+            t_min.max(end)
         }
     }
 
@@ -493,11 +542,11 @@ impl Staircase {
         }
         let t = t.max(0.0);
         let pos = self.ensure_breakpoint(t);
-        for p in &mut self.chunks[pos.chunk].points[pos.idx..] {
+        for p in &mut self.chunks[pos.chunk][pos.idx..] {
             p.1 += delta;
         }
         for c in pos.chunk + 1..self.chunks.len() {
-            for p in &mut self.chunks[c].points {
+            for p in &mut self.chunks[c] {
                 p.1 += delta;
             }
         }
@@ -520,19 +569,19 @@ impl Staircase {
         let i1 = self.locate(t1);
         debug_assert!(i1 < i2);
         if i1.chunk == i2.chunk {
-            for p in &mut self.chunks[i1.chunk].points[i1.idx..i2.idx] {
+            for p in &mut self.chunks[i1.chunk][i1.idx..i2.idx] {
                 p.1 += delta;
             }
         } else {
-            for p in &mut self.chunks[i1.chunk].points[i1.idx..] {
+            for p in &mut self.chunks[i1.chunk][i1.idx..] {
                 p.1 += delta;
             }
             for c in i1.chunk + 1..i2.chunk {
-                for p in &mut self.chunks[c].points {
+                for p in &mut self.chunks[c] {
                     p.1 += delta;
                 }
             }
-            for p in &mut self.chunks[i2.chunk].points[..i2.idx] {
+            for p in &mut self.chunks[i2.chunk][..i2.idx] {
                 p.1 += delta;
             }
         }
@@ -555,11 +604,10 @@ impl Staircase {
     }
 
     /// Inserts a breakpoint at in-chunk index `i` of chunk `c` (`i` may be
-    /// `len`, appending), splitting the chunk first when it is full. Only
-    /// the affected chunks' extrema are made consistent here; the caller's
-    /// `repair` pass re-establishes the rest.
+    /// `len`, appending), splitting the chunk first when it is full. The
+    /// new point repeats its predecessor's value, so no extrema change.
     fn insert_point(&mut self, c: usize, i: usize, pt: (f64, f64)) -> Pos {
-        let (c, i) = if self.chunks[c].points.len() == CHUNK_CAP {
+        let (c, i) = if self.chunks[c].len() == CHUNK_CAP {
             self.split_chunk(c);
             if i <= CHUNK_MID {
                 (c, i)
@@ -569,7 +617,7 @@ impl Staircase {
         } else {
             (c, i)
         };
-        self.chunks[c].points.insert(i, pt);
+        self.chunks[c].insert(i, pt);
         if i == 0 {
             self.first_x[c] = pt.0;
         }
@@ -577,35 +625,33 @@ impl Staircase {
         Pos { chunk: c, idx: i }
     }
 
-    /// Splits a full chunk in two at [`CHUNK_MID`], keeping every index —
-    /// local suffixes, `first_x`, `chunk_suffix` — immediately consistent
-    /// (the split does not change the function, so `chunk_suffix[c]` keeps
-    /// its value and only the new right chunk needs an entry).
+    /// Splits a full chunk in two at [`CHUNK_MID`], keeping `first_x` and
+    /// the tree immediately consistent: both halves are re-folded and the
+    /// leaves to their right shift by one (the tree grows first when full).
     fn split_chunk(&mut self, c: usize) {
-        let right_points = self.chunks[c].points.split_off(CHUNK_MID);
-        let mut points = Vec::with_capacity(CHUNK_CAP);
-        points.extend(right_points);
-        let mut right = Chunk {
-            points,
-            suffix: Vec::with_capacity(CHUNK_CAP),
-        };
-        right.rebuild_suffix();
-        self.chunks[c].rebuild_suffix();
-        let tail = self.chunk_suffix.get(c + 1).copied().unwrap_or(NEUTRAL);
-        let right_summary = (right.suffix[0].0.min(tail.0), right.suffix[0].1.max(tail.1));
-        self.first_x.insert(c + 1, right.points[0].0);
-        self.chunk_suffix.insert(c + 1, right_summary);
+        let n = self.chunks.len();
+        if n == self.cap {
+            self.relayout(2 * self.cap);
+        }
+        let mut right = Vec::with_capacity(CHUNK_CAP);
+        right.extend(self.chunks[c].drain(CHUNK_MID..));
+        let leaf = self.cap + c;
+        self.tree.copy_within(leaf + 1..self.cap + n, leaf + 2);
+        self.tree[leaf] = extrema(&self.chunks[c]);
+        self.tree[leaf + 1] = extrema(&right);
+        self.first_x.insert(c + 1, right[0].0);
         self.chunks.insert(c + 1, right);
+        self.refresh(c, n + 1);
     }
 
     /// Re-establishes the invariants after the values at positions
     /// `[dirty, changed_end)` changed (and breakpoints may have been
     /// inserted there): merges adjacent approx-equal segments — new merges
-    /// can only appear at or after `dirty` — then repairs the extrema
-    /// indices of the touched chunks and walks the chunk summaries leftward
-    /// only while they actually change. The scheduler's reserve/release
-    /// pattern mutates near the end of the horizon, so the repaired region
-    /// is typically a handful of chunks.
+    /// can only appear at or after `dirty` — then re-folds the leaves of the
+    /// touched chunks and updates the tree above them only while its nodes
+    /// actually change. The scheduler's reserve/release pattern mutates
+    /// near the end of the horizon, so the repaired region is typically a
+    /// chunk or two.
     fn repair(&mut self, dirty: Pos, changed_end: Pos) {
         // --- merge pass over the modified region -----------------------
         // The anchor breakpoint at x = 0 is never removed, so scanning
@@ -621,7 +667,7 @@ impl Staircase {
             dirty
         };
         // Chunk holding the last value-modified point: its extrema need a
-        // rebuild even if the merge scan stops early inside it.
+        // re-fold even if the merge scan stops early inside it.
         let value_hi_chunk = if changed_end == POS_INF {
             self.chunks.len() - 1
         } else {
@@ -631,11 +677,11 @@ impl Staircase {
         let mut last_was_kept = true;
         let mut past_boundary = false;
         let mut last_touched_chunk = dirty.chunk;
-        let mut any_structural = false;
+        let mut any_emptied = false;
         let nchunks = self.chunks.len();
         'scan: for c in scan.chunk..nchunks {
             let from = if c == scan.chunk { scan.idx } else { 0 };
-            let len_c = self.chunks[c].points.len();
+            let len_c = self.chunks[c].len();
             if from >= len_c {
                 // Only possible for the scan chunk when it is the global
                 // end position (nothing to the right of the mutation).
@@ -649,7 +695,7 @@ impl Staircase {
                 if past_boundary && last_was_kept {
                     // Everything from here on is kept verbatim.
                     if kept < i {
-                        let pts = &mut self.chunks[c].points;
+                        let pts = &mut self.chunks[c];
                         pts.copy_within(i..len_c, kept);
                         pts.truncate(kept + (len_c - i));
                         self.n -= i - kept;
@@ -661,12 +707,12 @@ impl Staircase {
                 if here >= changed_end {
                     past_boundary = true;
                 }
-                let (x, v) = self.chunks[c].points[i];
+                let (x, v) = self.chunks[c][i];
                 if approx_eq(prev_val, v) {
                     last_was_kept = false;
                 } else {
                     if kept != i {
-                        self.chunks[c].points[kept] = (x, v);
+                        self.chunks[c][kept] = (x, v);
                     }
                     kept += 1;
                     prev_val = v;
@@ -674,125 +720,104 @@ impl Staircase {
                 }
             }
             if kept < len_c {
-                self.chunks[c].points.truncate(kept);
+                self.chunks[c].truncate(kept);
                 self.n -= len_c - kept;
             }
             last_touched_chunk = c;
             if kept == 0 {
-                any_structural = true;
+                any_emptied = true;
             }
         }
 
-        // --- per-chunk extrema over the touched range ------------------
-        let last_touched_chunk = last_touched_chunk.max(value_hi_chunk);
-        for c in dirty.chunk..=last_touched_chunk {
-            if self.chunks[c].points.is_empty() {
-                continue;
+        // --- re-fold the touched leaves --------------------------------
+        let mut hi = last_touched_chunk.max(value_hi_chunk);
+        for c in dirty.chunk..=hi {
+            self.tree[self.cap + c] = extrema(&self.chunks[c]);
+            if let Some(&(x, _)) = self.chunks[c].first() {
+                self.first_x[c] = x;
             }
-            self.chunks[c].rebuild_suffix();
-            self.first_x[c] = self.chunks[c].points[0].0;
         }
+        let old_len = self.chunks.len();
 
         // --- structural maintenance (rare): drop empties, merge sparse --
-        if self.compact_chunks(dirty.chunk, last_touched_chunk) {
-            any_structural = true;
-        }
-        if any_structural {
-            self.chunks.retain(|ch| !ch.points.is_empty());
-            debug_assert!(!self.chunks.is_empty());
-            self.first_x.clear();
-            self.first_x
-                .extend(self.chunks.iter().map(|ch| ch.points[0].0));
-            self.chunk_suffix.clear();
-            self.chunk_suffix.resize(self.chunks.len(), NEUTRAL);
-            let mut tail = NEUTRAL;
-            for c in (0..self.chunks.len()).rev() {
-                let local = self.chunks[c].suffix[0];
-                tail = (local.0.min(tail.0), local.1.max(tail.1));
-                self.chunk_suffix[c] = tail;
-            }
-            return;
-        }
-
-        // --- chunk-summary patch with leftward early stop --------------
-        let n = self.chunks.len();
-        let mut c = last_touched_chunk.min(n - 1);
-        loop {
-            let tail = self.chunk_suffix.get(c + 1).copied().unwrap_or(NEUTRAL);
-            let local = self.chunks[c].suffix[0];
-            let new = (local.0.min(tail.0), local.1.max(tail.1));
-            if c < dirty.chunk && new == self.chunk_suffix[c] {
-                break;
-            }
-            self.chunk_suffix[c] = new;
-            if c == 0 {
-                break;
-            }
-            c -= 1;
-        }
-    }
-
-    /// Merges under-filled touched chunks into a neighbour. Returns `true`
-    /// if the chunk layout changed (the caller then realigns the top-level
-    /// indices wholesale — structural events are rare).
-    fn compact_chunks(&mut self, lo: usize, hi: usize) -> bool {
-        let mut changed = false;
-        let mut c = lo;
-        while c <= hi && c < self.chunks.len() {
-            let len_c = self.chunks[c].points.len();
-            if len_c > 0 && len_c < CHUNK_MIN && c + 1 < self.chunks.len() {
-                let len_r = self.chunks[c + 1].points.len();
-                if len_c + len_r <= MERGE_MAX {
-                    let right = self.chunks.remove(c + 1);
-                    self.chunks[c].points.extend(right.points);
-                    self.chunks[c].rebuild_suffix();
-                    self.first_x.remove(c + 1);
-                    self.chunk_suffix.remove(c + 1);
-                    changed = true;
-                    // The merged chunk may still be sparse; retry it.
-                    continue;
+        // Both shift the leaves right of the change; chunk 0 keeps the
+        // anchor breakpoint, so it is never emptied and `hi` never wraps.
+        if any_emptied {
+            let mut c = dirty.chunk;
+            while c <= hi {
+                if self.chunks[c].is_empty() {
+                    self.remove_chunk(c);
+                    hi -= 1;
+                } else {
+                    c += 1;
                 }
+            }
+        }
+        let mut c = dirty.chunk;
+        while c <= hi && c + 1 < self.chunks.len() {
+            let len_c = self.chunks[c].len();
+            if len_c < CHUNK_MIN && len_c + self.chunks[c + 1].len() <= MERGE_MAX {
+                let (right, ext) = self.remove_chunk(c + 1);
+                self.chunks[c].extend(right);
+                self.tree[self.cap + c] = join(self.tree[self.cap + c], ext);
+                if c < hi {
+                    hi -= 1;
+                }
+                // The merged chunk may still be sparse; retry it.
+                continue;
             }
             c += 1;
         }
-        changed
+
+        let len = self.chunks.len();
+        if len == old_len {
+            self.refresh(dirty.chunk, hi + 1);
+        } else if 4 * len <= self.cap {
+            self.relayout((2 * len).next_power_of_two());
+        } else {
+            self.refresh(dirty.chunk, old_len);
+        }
     }
 
     /// Debug-only consistency check of every derived index against a
     /// from-scratch rebuild; used by the test suite.
     #[cfg(test)]
     fn check_invariants(&self) {
-        assert!(!self.chunks.is_empty());
-        assert_eq!(self.first_x.len(), self.chunks.len());
-        assert_eq!(self.chunk_suffix.len(), self.chunks.len());
+        let nchunks = self.chunks.len();
+        assert!(nchunks > 0);
+        assert_eq!(self.first_x.len(), nchunks);
+        assert!(
+            self.cap.is_power_of_two(),
+            "cap {} not a power of two",
+            self.cap
+        );
+        assert!(
+            nchunks <= self.cap && self.cap < 4 * nchunks,
+            "cap {} out of range for {nchunks} chunks",
+            self.cap
+        );
+        assert_eq!(self.tree.len(), 2 * self.cap);
         let mut count = 0;
         let mut prev_x = f64::NEG_INFINITY;
         for (c, ch) in self.chunks.iter().enumerate() {
-            assert!(!ch.points.is_empty(), "empty chunk {c}");
-            assert!(ch.points.len() <= CHUNK_CAP, "oversized chunk {c}");
-            assert_eq!(ch.suffix.len(), ch.points.len(), "suffix len, chunk {c}");
-            assert_eq!(self.first_x[c], ch.points[0].0, "first_x, chunk {c}");
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for i in (0..ch.points.len()).rev() {
-                let v = ch.points[i].1;
-                lo = lo.min(v);
-                hi = hi.max(v);
-                assert_eq!(ch.suffix[i], (lo, hi), "suffix, chunk {c} idx {i}");
-            }
-            for &(x, _) in &ch.points {
+            assert!(!ch.is_empty(), "empty chunk {c}");
+            assert!(ch.len() <= CHUNK_CAP, "oversized chunk {c}");
+            assert_eq!(self.first_x[c], ch[0].0, "first_x, chunk {c}");
+            assert_eq!(self.tree[self.cap + c], extrema(ch), "leaf of chunk {c}");
+            for &(x, _) in ch {
                 assert!(x > prev_x, "breakpoints not strictly increasing");
                 prev_x = x;
                 count += 1;
             }
         }
-        assert_eq!(self.n, count, "cached breakpoint count");
-        let mut tail = NEUTRAL;
-        for c in (0..self.chunks.len()).rev() {
-            let local = self.chunks[c].suffix[0];
-            tail = (local.0.min(tail.0), local.1.max(tail.1));
-            assert_eq!(self.chunk_suffix[c], tail, "chunk_suffix, chunk {c}");
+        for c in nchunks..self.cap {
+            assert_eq!(self.tree[self.cap + c], NEUTRAL, "padding leaf {c}");
         }
+        for i in 1..self.cap {
+            let want = join(self.tree[2 * i], self.tree[2 * i + 1]);
+            assert_eq!(self.tree[i], want, "tree node {i}");
+        }
+        assert_eq!(self.n, count, "cached breakpoint count");
     }
 }
 
@@ -806,7 +831,8 @@ mod tests {
         let s = Staircase::constant(10.0);
         assert_eq!(s.value_at(0.0), 10.0);
         assert_eq!(s.value_at(123.0), 10.0);
-        assert_eq!(s.min_value(), 10.0);
+        assert_eq!(s.min_from(0.0), 10.0);
+        assert_eq!(s.max_value(), 10.0);
         assert_eq!(s.final_value(), 10.0);
     }
 
@@ -818,7 +844,7 @@ mod tests {
         assert_eq!(s.value_at(4.999), 10.0);
         assert_eq!(s.value_at(5.0), 7.0);
         assert_eq!(s.value_at(100.0), 7.0);
-        assert_eq!(s.min_value(), 7.0);
+        assert_eq!(s.min_from(0.0), 7.0);
     }
 
     #[test]
@@ -859,7 +885,7 @@ mod tests {
         assert_eq!(s.value_at(7.0), 4.0);
         assert_eq!(s.value_at(12.0), 7.0);
         assert_eq!(s.value_at(20.0), 10.0);
-        assert_eq!(s.min_value(), 4.0);
+        assert_eq!(s.min_from(0.0), 4.0);
     }
 
     #[test]
@@ -872,17 +898,14 @@ mod tests {
     }
 
     #[test]
-    fn min_from_and_over() {
+    fn min_from_covers_the_suffix() {
         let mut s = Staircase::constant(10.0);
         s.add_range(2.0, 4.0, -6.0); // dip to 4 on [2,4)
         s.add_from(8.0, -1.0); // 9 from 8 on
         assert_eq!(s.min_from(0.0), 4.0);
         assert_eq!(s.min_from(4.0), 9.0);
         assert_eq!(s.min_from(3.0), 4.0);
-        assert_eq!(s.min_over(0.0, 2.0), 10.0);
-        assert_eq!(s.min_over(1.0, 3.0), 4.0);
-        assert_eq!(s.min_over(4.0, 8.0), 10.0);
-        assert_eq!(s.min_over(5.0, 5.0), f64::INFINITY);
+        assert_eq!(s.min_from(100.0), 9.0);
     }
 
     #[test]
@@ -921,15 +944,6 @@ mod tests {
         let mut s = Staircase::constant(10.0);
         s.add_from(4.0, -9.0); // 1 unit forever after t=4
         assert_eq!(s.earliest_sustained_ge(0.0, 5.0), None);
-        assert!(!s.sustained_ge(0.0, 5.0));
-    }
-
-    #[test]
-    fn sustained_ge_checks_t_min() {
-        let mut s = Staircase::constant(10.0);
-        s.add_range(2.0, 4.0, -8.0);
-        assert!(!s.sustained_ge(1.0, 5.0));
-        assert!(s.sustained_ge(4.0, 5.0));
     }
 
     #[test]
@@ -998,14 +1012,13 @@ mod tests {
         assert_eq!(s.value_at(9.0), 4.0);
         // A window [2, 5) sees only the 6-segment.
         assert_eq!(s.max_over(2.0, 5.0), 6.0);
-        assert_eq!(s.min_over(2.0, 5.0), 6.0);
         // A window ending exactly at a step start excludes that step.
         assert_eq!(s.max_over(0.0, 2.0), 1.0);
         // A window starting exactly at a step end excludes the step before.
-        assert_eq!(s.min_over(5.0, 9.0), 3.0);
+        assert_eq!(s.max_over(5.0, 9.0), 3.0);
         // Windows spanning a boundary see both sides.
         assert_eq!(s.max_over(4.0, 6.0), 6.0);
-        assert_eq!(s.min_over(4.0, 6.0), 3.0);
+        assert_eq!(s.max_over(8.0, 10.0), 4.0);
     }
 
     #[test]
@@ -1013,11 +1026,9 @@ mod tests {
         let s = stepped();
         for t in [0.0, 2.0, 5.0, 9.0, 100.0] {
             assert_eq!(s.max_over(t, t), f64::NEG_INFINITY);
-            assert_eq!(s.min_over(t, t), f64::INFINITY);
         }
         // Reversed windows are empty too.
         assert_eq!(s.max_over(5.0, 2.0), f64::NEG_INFINITY);
-        assert_eq!(s.min_over(5.0, 2.0), f64::INFINITY);
     }
 
     #[test]
@@ -1026,7 +1037,6 @@ mod tests {
         assert_eq!(s.value_at(-3.0), 1.0);
         assert_eq!(s.min_from(-3.0), 1.0);
         assert_eq!(s.max_over(-5.0, 1.0), 1.0);
-        assert_eq!(s.min_over(-5.0, 3.0), 1.0);
         assert_eq!(s.earliest_sustained_ge(-2.0, 0.5), Some(0.0));
         assert_eq!(s.earliest_sustained_le(-2.0, 10.0), Some(0.0));
     }
@@ -1084,7 +1094,7 @@ mod tests {
                 .iter()
                 .map(|&(_, v)| v)
                 .fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(s.min_value(), full_min, "min index diverged at step {i}");
+            assert_eq!(s.min_from(0.0), full_min, "min index diverged at step {i}");
             assert_eq!(s.max_value(), full_max, "max index diverged at step {i}");
             // Spot-check a suffix query against the definition.
             let mid = points[points.len() / 2].0;
@@ -1211,17 +1221,6 @@ mod tests {
             let first = shifted.partition_point(|&(x, _)| x <= t + EPSILON);
             let first = first.min(self.points.partition_point(|&(x, _)| x < t - EPSILON));
             self.suffix[first].0
-        }
-
-        fn min_over(&self, t1: f64, t2: f64) -> f64 {
-            if t2 <= t1 + EPSILON {
-                return f64::INFINITY;
-            }
-            let (lo, hi) = self.window_range(t1, t2);
-            self.points[lo.min(hi)..hi]
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(f64::INFINITY, f64::min)
         }
 
         fn earliest_sustained_ge(&self, t_min: f64, threshold: f64) -> Option<f64> {
@@ -1399,13 +1398,8 @@ mod tests {
                 o.max_over(t1, t2).to_bits(),
                 "max_over({t1},{t2}) diverged at step {step}"
             );
-            assert_eq!(
-                s.min_over(t1, t2).to_bits(),
-                o.min_over(t1, t2).to_bits(),
-                "min_over({t1},{t2}) diverged at step {step}"
-            );
         }
-        let lo = s.min_value();
+        let lo = s.min_from(0.0);
         let hi = s.max_value();
         for thr in [lo - 1.0, lo, 0.5 * (lo + hi), hi, hi + 1.0] {
             for t_min in [0.0, horizon / 4.0, horizon] {
@@ -1478,6 +1472,35 @@ mod tests {
                 s.add_from(t, 100.0 - v);
                 o.add_from(t, 100.0 - v);
                 assert_matches_oracle(&s, &o, 600 + step);
+            }
+            // Phase 3: short windows at the front of the horizon fill
+            // chunk 0 until it splits, shifting every later leaf right.
+            for step in 0..300 {
+                let t1 = rng.f64_in(0.0, 10.0);
+                let len = rng.f64_in(0.01, 0.5);
+                let delta = rng.f64_in(-4.0, 4.0);
+                s.add_range(t1, t1 + len, delta);
+                o.add_range(t1, t1 + len, delta);
+                if step % 5 == 0 {
+                    assert_matches_oracle(&s, &o, 660 + step);
+                }
+            }
+            let front = s.breakpoints().take_while(|&(x, _)| x < 10.5).count();
+            assert!(
+                front > 2 * CHUNK_CAP,
+                "front phase must split chunk 0 (got {front} points)"
+            );
+            // Phase 4: level the front one breakpoint at a time, so chunk 0
+            // drains and merges with its right neighbours, shifting every
+            // later leaf left.
+            let v0 = s.value_at(0.0);
+            for step in 0.. {
+                let Some((x, v)) = s.breakpoints().nth(1).filter(|&(x, _)| x < 10.5) else {
+                    break;
+                };
+                s.add_from(x, v0 - v);
+                o.add_from(x, v0 - v);
+                assert_matches_oracle(&s, &o, 960 + step);
             }
         }
     }
