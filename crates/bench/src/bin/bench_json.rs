@@ -9,17 +9,18 @@
 //!
 //! The measurement loop is deliberately simple (one warm-up run, then a
 //! fixed number of timed runs, median reported) — the point is a stable,
-//! cheap number CI can diff, not a statistical study; `cargo bench -p
-//! mals-bench` remains the place for careful measurements. The emitter
-//! writes one bench per line so the comparator can parse its own output
-//! without a JSON dependency; hand-edited baselines must keep that shape.
+//! cheap number CI can diff, not a statistical study; the process-level
+//! benchmark under `perfbench/` is the place for careful end-to-end
+//! measurements. The emitter writes one bench per line so the comparator
+//! can parse its own output without a JSON dependency; hand-edited
+//! baselines must keep that shape.
 
-use mals_bench::{large_rand_dag, single_pair, small_rand_dag};
+use mals_bench::{large_rand_dag, small_rand_dag};
 use mals_dag::TaskGraph;
-use mals_exact::{solver_registry, ExactBackend, MilpBackend, SolveLimits};
+use mals_exact::{solver_registry, BranchAndBound, MilpBackend};
 use mals_experiments::heft_baseline;
 use mals_platform::Platform;
-use mals_sched::{Engine, EngineConfig, Heft, MemHeft, MemMinMin, Scheduler};
+use mals_sched::{Engine, EngineConfig, Heft, MemHeft, MemMinMin, Scheduler, SolveCtx, Solver};
 use mals_util::{parallel_map, ParallelConfig};
 use std::rc::Rc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -62,7 +63,7 @@ fn scheduler_bench(
 /// tight enough that the memory-aware logic does real work, loose enough
 /// that the heuristics succeed.
 fn bounded_single_pair(graph: &TaskGraph) -> Platform {
-    let platform = single_pair(0.0);
+    let platform = Platform::single_pair(0.0, 0.0);
     let baseline = heft_baseline(graph, &platform);
     let bound = 0.7 * baseline.peaks.max();
     platform.with_memory_bounds(bound, bound)
@@ -108,26 +109,34 @@ fn benches(quick: bool) -> Vec<Bench> {
         MemHeft::new(),
     ));
 
-    // The MILP exact backend on a 10-task instance at exactly HEFT's memory
+    // Both exact backends on a 10-task instance at exactly HEFT's memory
     // requirement (the α = 1 campaign point): the heuristics seed the
-    // incumbent and the solver does the full LP-certified optimality proof,
-    // guarding the simplex + branch-and-bound stack against latency
-    // regressions.
+    // incumbent and each solver does its full optimality proof, guarding
+    // the simplex + MILP branch-and-bound stack and the combinatorial search
+    // against latency regressions.
     {
         let exact_graph = small_rand_dag(10, 7);
-        let platform = single_pair(0.0);
+        let platform = Platform::single_pair(0.0, 0.0);
         let baseline = heft_baseline(&exact_graph, &platform);
         let bound = baseline.peaks.max();
         let exact_platform = platform.with_memory_bounds(bound, bound);
-        set.push(Bench {
-            id: "exact/milp-smallrand-10".into(),
-            run: Box::new(move || {
-                let outcome =
-                    MilpBackend.solve(&exact_graph, &exact_platform, &SolveLimits::default());
-                std::hint::black_box(outcome.nodes());
-            }),
-            min_samples: None,
-        });
+        for (id, solver) in [
+            (
+                "exact/milp-smallrand-10",
+                &MilpBackend as &'static dyn Solver,
+            ),
+            ("exact/bb-smallrand-10", &BranchAndBound),
+        ] {
+            let (graph, platform) = (exact_graph.clone(), exact_platform.clone());
+            set.push(Bench {
+                id: id.into(),
+                run: Box::new(move || {
+                    let outcome = solver.solve(&graph, &platform, &SolveCtx::sequential());
+                    std::hint::black_box(outcome.nodes);
+                }),
+                min_samples: None,
+            });
+        }
     }
 
     // The engine layer: a batch of small DAGs solved through one `Engine`
@@ -180,7 +189,7 @@ fn benches(quick: bool) -> Vec<Bench> {
         use mals_gen::ArrivalProcess;
         use mals_sched::{online, OnlineConfig, OnlineFlavor, ReplanPolicy, SolveCtx};
         let online_graph = large_rand_dag(2_000, 0xD1CE + 2_000);
-        let platform = single_pair(0.0);
+        let platform = Platform::single_pair(0.0, 0.0);
         let baseline = heft_baseline(&online_graph, &platform);
         let bound = baseline.peaks.max();
         let online_platform = platform.with_memory_bounds(bound, bound);
@@ -221,7 +230,7 @@ fn benches(quick: bool) -> Vec<Bench> {
     // here, the incremental one takes ~0.2 s.
     {
         let scaling_graph = large_rand_dag(10_000, 0xBEEF + 10_000);
-        let platform = single_pair(0.0);
+        let platform = Platform::single_pair(0.0, 0.0);
         let baseline = heft_baseline(&scaling_graph, &platform);
         let bound = baseline.peaks.max();
         let scaling_platform = platform.with_memory_bounds(bound, bound);
@@ -245,7 +254,7 @@ fn benches(quick: bool) -> Vec<Bench> {
     // the engine keeps no memory profile at all: it guards that fast path.
     {
         let huge_graph = Rc::new(large_rand_dag(100_000, 0xBEEF + 100_000));
-        let platform = single_pair(0.0);
+        let platform = Platform::single_pair(0.0, 0.0);
         let baseline = heft_baseline(&huge_graph, &platform);
         let bound = baseline.peaks.max();
         let huge_platform = platform.with_memory_bounds(bound, bound);
@@ -318,9 +327,13 @@ fn benches(quick: bool) -> Vec<Bench> {
                 optimal_node_limit: 1,
                 parallel: ParallelConfig::sequential(),
             };
-            let run =
-                run_streaming_campaign(&set, &single_pair(0.0), &config, &CampaignIo::default())
-                    .expect("in-memory campaign cannot fail");
+            let run = run_streaming_campaign(
+                &set,
+                &Platform::single_pair(0.0, 0.0),
+                &config,
+                &CampaignIo::default(),
+            )
+            .expect("in-memory campaign cannot fail");
             std::hint::black_box(run.dags_done);
         }),
         min_samples: Some(3),

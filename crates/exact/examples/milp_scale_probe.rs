@@ -1,10 +1,10 @@
 //! Ad-hoc probe: MILP backend wall-clock versus instance size at three
 //! memory regimes (ample / 70% / 50% of HEFT's requirement). Used to pick
 //! the backend's size guard; not part of CI.
-use mals_exact::{ExactBackend, MilpBackend, SolveLimits};
+use mals_exact::{MilpBackend, SolveLimits};
 use mals_gen::SetParams;
 use mals_platform::Platform;
-use mals_sched::{Heft, Scheduler};
+use mals_sched::{Heft, Scheduler, SolveCtx, Solver};
 use mals_sim::memory_peaks;
 use std::time::Instant;
 
@@ -21,13 +21,13 @@ fn main() {
         for frac in [1.1, 0.7, 0.5] {
             let bound = frac * need;
             let platform = Platform::single_pair(bound, bound);
-            let limits = SolveLimits::with_node_limit(20_000);
+            let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(20_000));
             let t0 = Instant::now();
-            let outcome = MilpBackend.solve(&g, &platform, &limits);
+            let outcome = MilpBackend.solve(&g, &platform, &ctx);
             println!(
                 "n={size:2} frac={frac:.1} {:>12?} nodes {:>7} proven={} makespan={:?}",
                 t0.elapsed(),
-                outcome.nodes(),
+                outcome.nodes,
                 outcome.is_proven(),
                 outcome.makespan()
             );

@@ -1,224 +1,49 @@
-//! The pluggable exact-backend layer.
+//! The exact backends selectable from the command line, and the LP
+//! exporter.
 //!
-//! Every way of obtaining (or approaching) an optimal schedule sits behind
-//! one trait, [`ExactBackend`], with a shared budget type ([`SolveLimits`])
-//! and a shared outcome type ([`ExactOutcome`]). Three backends ship
+//! Every way of obtaining (or approaching) an optimal schedule is a
+//! [`Solver`] in the registry ([`crate::solver_registry`]). Three ship
 //! in-tree:
 //!
 //! | backend | strategy | when it wins |
 //! |---|---|---|
-//! | [`BranchAndBound`] | combinatorial search over the list-scheduling decision space | tight memory, small DAGs — memory pruning is native |
+//! | [`BranchAndBound`](crate::bb::BranchAndBound) | combinatorial search over the list-scheduling decision space | tight memory, small DAGs — memory pruning is native |
 //! | [`MilpBackend`](crate::compact::MilpBackend) | in-tree simplex + branch-and-bound MILP over a compact disjunctive model | ample/moderate memory — the LP bound closes the gap in few nodes and certifies optimality |
 //! | [`LpExport`] | emits the paper's full § 4 ILP in CPLEX LP text | handing the instance to an external industrial solver |
 //!
-//! The experiment campaigns select a backend with `--exact-backend
-//! {milp,bb,lp-export}` (see [`ExactBackendKind`]), and [`ExactScheduler`]
-//! adapts any backend to the [`Scheduler`] trait so exact solvers can slot
-//! into the same sweeps as the heuristics.
+//! The experiment campaigns select one with `--exact-backend
+//! {milp,bb,lp-export}` (see [`ExactBackendKind`]).
 
-use crate::bb::BranchAndBound;
 use crate::ilp::build_ilp;
+use crate::solvers::reject_invalid;
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
-use mals_sched::{ScheduleError, Scheduler};
-use mals_sim::Schedule;
-use mals_util::CancelSignal;
-use std::path::PathBuf;
+use mals_sched::{OptimalityStatus, SolveCtx, SolveOutcome, Solver};
 
-// The budget type is shared with the heuristics' engine layer and lives next
-// to the `Solver` trait; it is re-exported here because the exact backends
-// are its primary consumer.
-pub use mals_sched::SolveLimits;
-
-/// Outcome of an exact solve.
-#[derive(Debug, Clone)]
-pub enum ExactOutcome {
-    /// The search completed: `schedule` is provably optimal within the
-    /// backend's decision space.
-    Optimal {
-        /// The optimal schedule.
-        schedule: Schedule,
-        /// Its makespan.
-        makespan: f64,
-        /// Nodes expanded.
-        nodes: u64,
-    },
-    /// A budget ran out; `schedule` is the best incumbent found but carries
-    /// no optimality proof.
-    Feasible {
-        /// The best schedule found.
-        schedule: Schedule,
-        /// Its makespan.
-        makespan: f64,
-        /// Nodes expanded.
-        nodes: u64,
-    },
-    /// The search completed without finding any schedule: the instance is
-    /// infeasible under the memory bounds (within the backend's decision
-    /// space).
-    Infeasible {
-        /// Nodes expanded.
-        nodes: u64,
-    },
-    /// A budget ran out before any schedule was found, or the backend does
-    /// not solve at all (the LP exporter) — nothing is proven.
-    LimitHit {
-        /// Nodes expanded.
-        nodes: u64,
-    },
-}
-
-impl ExactOutcome {
-    /// The schedule carried by the outcome, if any.
-    pub fn schedule(&self) -> Option<&Schedule> {
-        match self {
-            ExactOutcome::Optimal { schedule, .. } | ExactOutcome::Feasible { schedule, .. } => {
-                Some(schedule)
-            }
-            _ => None,
-        }
-    }
-
-    /// The makespan carried by the outcome, if any.
-    pub fn makespan(&self) -> Option<f64> {
-        match self {
-            ExactOutcome::Optimal { makespan, .. } | ExactOutcome::Feasible { makespan, .. } => {
-                Some(*makespan)
-            }
-            _ => None,
-        }
-    }
-
-    /// Nodes expanded by the solve.
-    pub fn nodes(&self) -> u64 {
-        match self {
-            ExactOutcome::Optimal { nodes, .. }
-            | ExactOutcome::Feasible { nodes, .. }
-            | ExactOutcome::Infeasible { nodes }
-            | ExactOutcome::LimitHit { nodes } => *nodes,
-        }
-    }
-
-    /// `true` for [`ExactOutcome::Optimal`].
-    pub fn is_optimal(&self) -> bool {
-        matches!(self, ExactOutcome::Optimal { .. })
-    }
-
-    /// `true` when the outcome settles the instance (optimal schedule or
-    /// infeasibility proof).
-    pub fn is_proven(&self) -> bool {
-        matches!(
-            self,
-            ExactOutcome::Optimal { .. } | ExactOutcome::Infeasible { .. }
-        )
-    }
-}
-
-/// An exact solver (or exporter) for the memory-constrained scheduling
-/// problem.
-pub trait ExactBackend {
-    /// Short stable name, used as the series label in campaigns.
-    fn name(&self) -> &'static str;
-
-    /// Solves `graph` on `platform` within `limits`.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, limits: &SolveLimits) -> ExactOutcome;
-
-    /// [`ExactBackend::solve`] with a cooperative cancel signal, polled once
-    /// per search node: a trip ends the solve with the incumbent-so-far
-    /// (mapped to [`ExactOutcome::Feasible`]) or, when nothing was found
-    /// yet, [`ExactOutcome::LimitHit`]. The default implementation ignores
-    /// the signal — backends without inner loops (the LP exporter) need
-    /// nothing more; the searching backends override it.
-    fn solve_cancellable(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        limits: &SolveLimits,
-        cancel: CancelSignal<'_>,
-    ) -> ExactOutcome {
-        let _ = cancel;
-        self.solve(graph, platform, limits)
-    }
-}
-
-impl ExactBackend for BranchAndBound {
-    fn name(&self) -> &'static str {
-        "Optimal(B&B)"
-    }
-
-    /// Runs the combinatorial search; `limits.node_limit` overrides the
-    /// solver's own node budget.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, limits: &SolveLimits) -> ExactOutcome {
-        ExactBackend::solve_cancellable(self, graph, platform, limits, CancelSignal::default())
-    }
-
-    /// The combinatorial search polling `cancel` once per expanded node.
-    fn solve_cancellable(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        limits: &SolveLimits,
-        cancel: CancelSignal<'_>,
-    ) -> ExactOutcome {
-        let result = BranchAndBound::with_node_limit(limits.node_limit)
-            .solve_cancellable(graph, platform, cancel);
-        let nodes = result.nodes_explored;
-        match (result.schedule, result.proven_optimal) {
-            (Some(schedule), true) => ExactOutcome::Optimal {
-                makespan: schedule.makespan(),
-                schedule,
-                nodes,
-            },
-            (Some(schedule), false) => ExactOutcome::Feasible {
-                makespan: schedule.makespan(),
-                schedule,
-                nodes,
-            },
-            (None, true) => ExactOutcome::Infeasible { nodes },
-            (None, false) => ExactOutcome::LimitHit { nodes },
-        }
-    }
-}
-
-/// The LP-text exporter backend: builds the paper's full § 4 ILP and writes
-/// it in CPLEX LP format for an external MILP solver. It never solves
-/// anything itself, so [`ExactBackend::solve`] always returns
-/// [`ExactOutcome::LimitHit`] with zero nodes — after writing the file when
-/// a path is configured.
-#[derive(Debug, Clone, Default)]
-pub struct LpExport {
-    /// Where to write the LP text (`None`: build the model but write
-    /// nothing; use [`LpExport::export_text`] to get the text directly).
-    pub path: Option<PathBuf>,
-}
+/// The LP-text exporter: builds the paper's full § 4 ILP in CPLEX LP format
+/// for an external MILP solver ([`LpExport::export_text`]). As a [`Solver`]
+/// it never solves anything, so it always answers
+/// [`OptimalityStatus::LimitHit`] with zero nodes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LpExport;
 
 impl LpExport {
-    /// An exporter writing to `path` on every solve.
-    pub fn to_path(path: impl Into<PathBuf>) -> Self {
-        LpExport {
-            path: Some(path.into()),
-        }
-    }
-
     /// The CPLEX LP text of the instance's ILP.
     pub fn export_text(graph: &TaskGraph, platform: &Platform) -> String {
         build_ilp(graph, platform).to_lp_format()
     }
 }
 
-impl ExactBackend for LpExport {
-    fn name(&self) -> &'static str {
+impl Solver for LpExport {
+    fn name(&self) -> &str {
         "ILP(LP-export)"
     }
 
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, _limits: &SolveLimits) -> ExactOutcome {
-        if let Some(path) = &self.path {
-            let text = LpExport::export_text(graph, platform);
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("LpExport: cannot write {}: {e}", path.display());
-            }
+    fn solve(&self, graph: &TaskGraph, _platform: &Platform, _ctx: &SolveCtx) -> SolveOutcome {
+        if let Some(rejected) = reject_invalid(graph) {
+            return rejected;
         }
-        ExactOutcome::LimitHit { nodes: 0 }
+        SolveOutcome::without_schedule(OptimalityStatus::LimitHit, 0)
     }
 }
 
@@ -256,115 +81,26 @@ impl ExactBackendKind {
             ExactBackendKind::LpExport => "lp-export",
         }
     }
-
-    /// The series label this backend reports in campaigns and sweeps.
-    pub fn method_name(self) -> &'static str {
-        match self {
-            ExactBackendKind::BranchAndBound => "Optimal(B&B)",
-            ExactBackendKind::Milp => "Optimal(MILP)",
-            ExactBackendKind::LpExport => "ILP(LP-export)",
-        }
-    }
-
-    /// Builds the backend.
-    pub fn backend(self) -> Box<dyn ExactBackend> {
-        match self {
-            ExactBackendKind::BranchAndBound => Box::new(BranchAndBound::default()),
-            ExactBackendKind::Milp => Box::new(crate::compact::MilpBackend),
-            ExactBackendKind::LpExport => Box::new(LpExport::default()),
-        }
-    }
-}
-
-/// Adapts an [`ExactBackend`] to the [`Scheduler`] trait so exact solvers
-/// can ride the same sweep/minimum-memory machinery as the heuristics. A
-/// solve that proves infeasibility — or gives up without a schedule — maps
-/// to [`ScheduleError::Infeasible`].
-pub struct ExactScheduler {
-    backend: Box<dyn ExactBackend>,
-    limits: SolveLimits,
-    name: &'static str,
-}
-
-impl ExactScheduler {
-    /// Wraps the backend selected by `kind` with the given limits.
-    pub fn new(kind: ExactBackendKind, limits: SolveLimits) -> Self {
-        ExactScheduler {
-            backend: kind.backend(),
-            limits,
-            name: kind.method_name(),
-        }
-    }
-}
-
-impl Scheduler for ExactScheduler {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        graph.validate()?;
-        match self.backend.solve(graph, platform, &self.limits) {
-            ExactOutcome::Optimal { schedule, .. } | ExactOutcome::Feasible { schedule, .. } => {
-                Ok(schedule)
-            }
-            _ => Err(ScheduleError::Infeasible {
-                scheduled: 0,
-                total: graph.n_tasks(),
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bb::BranchAndBound;
     use mals_gen::dex;
 
     #[test]
     fn bb_backend_maps_outcomes() {
         let (g, _) = dex();
-        let limits = SolveLimits::default();
-        let opt = ExactBackend::solve(
-            &BranchAndBound::default(),
-            &g,
-            &Platform::single_pair(5.0, 5.0),
-            &limits,
-        );
+        let ctx = SolveCtx::sequential();
+        let opt = BranchAndBound.solve(&g, &Platform::single_pair(5.0, 5.0), &ctx);
         assert!(opt.is_optimal());
         assert_eq!(opt.makespan(), Some(6.0));
-        assert!(opt.schedule().is_some());
-        let inf = ExactBackend::solve(
-            &BranchAndBound::default(),
-            &g,
-            &Platform::single_pair(2.0, 2.0),
-            &limits,
-        );
-        assert!(matches!(inf, ExactOutcome::Infeasible { .. }));
+        assert!(opt.schedule.is_some());
+        let inf = BranchAndBound.solve(&g, &Platform::single_pair(2.0, 2.0), &ctx);
+        assert_eq!(inf.status, OptimalityStatus::Infeasible);
         assert!(inf.is_proven());
         assert_eq!(inf.makespan(), None);
-    }
-
-    #[test]
-    fn lp_export_writes_the_model() {
-        let (g, _) = dex();
-        let dir = std::env::temp_dir().join("mals_lp_export_test.lp");
-        let backend = LpExport::to_path(&dir);
-        let outcome = backend.solve(
-            &g,
-            &Platform::single_pair(5.0, 5.0),
-            &SolveLimits::default(),
-        );
-        assert!(matches!(outcome, ExactOutcome::LimitHit { nodes: 0 }));
-        let text = std::fs::read_to_string(&dir).unwrap();
-        assert!(text.contains("Minimize"));
-        assert!(text.trim_end().ends_with("End"));
-        std::fs::remove_file(&dir).ok();
-        // And the direct text API agrees.
-        assert_eq!(
-            text,
-            LpExport::export_text(&g, &Platform::single_pair(5.0, 5.0))
-        );
     }
 
     #[test]
@@ -382,26 +118,14 @@ mod tests {
             Some(ExactBackendKind::LpExport)
         );
         assert_eq!(ExactBackendKind::parse("cplex"), None);
-        assert_eq!(
-            ExactBackendKind::BranchAndBound.method_name(),
-            "Optimal(B&B)"
-        );
-        assert_eq!(ExactBackendKind::Milp.method_name(), "Optimal(MILP)");
-        assert_eq!(ExactBackendKind::Milp.backend().name(), "Optimal(MILP)");
-    }
-
-    #[test]
-    fn exact_scheduler_adapter() {
-        let (g, _) = dex();
-        let sched = ExactScheduler::new(ExactBackendKind::BranchAndBound, SolveLimits::default());
-        assert_eq!(Scheduler::name(&sched), "Optimal(B&B)");
-        let s = sched
-            .schedule(&g, &Platform::single_pair(5.0, 5.0))
-            .unwrap();
-        assert_eq!(s.makespan(), 6.0);
-        let err = sched
-            .schedule(&g, &Platform::single_pair(2.0, 2.0))
-            .unwrap_err();
-        assert!(matches!(err, ScheduleError::Infeasible { .. }));
+        let registry = crate::solver_registry();
+        for (kind, name) in [
+            (ExactBackendKind::BranchAndBound, "Optimal(B&B)"),
+            (ExactBackendKind::Milp, "Optimal(MILP)"),
+            (ExactBackendKind::LpExport, "ILP(LP-export)"),
+        ] {
+            assert_eq!(ExactBackendKind::parse(kind.solver_key()), Some(kind));
+            assert_eq!(registry.build(kind.solver_key()).unwrap().name(), name);
+        }
     }
 }

@@ -37,15 +37,15 @@
 //! schedule space. The two backends are completely independent implementations
 //! and are cross-checked against each other in `tests/milp_vs_bb.rs`.
 
-use crate::backend::{ExactBackend, ExactOutcome, SolveLimits};
 use crate::bounds::{
     makespan_lower_bound_with_memory, memory_feasibility, optimistic_bottom_levels,
 };
 use crate::milp::{IntegralDecision, MilpLimits, MilpSolver};
 use crate::model::{LpModel, Sense, VarId, VarKind};
+use crate::solvers::{heuristic_incumbent, reject_invalid, search_outcome};
 use mals_dag::{algo, TaskGraph, TaskId};
 use mals_platform::{Memory, Platform};
-use mals_sched::{MemHeft, MemMinMin, PartialSchedule, SolveCtx, Solver};
+use mals_sched::{OptimalityStatus, PartialSchedule, SolveCtx, SolveLimits, SolveOutcome, Solver};
 use mals_sim::{validate, CommPlacement, Schedule, TaskPlacement};
 use mals_util::{CancelSignal, EPSILON};
 use std::collections::HashSet;
@@ -71,7 +71,7 @@ pub struct MilpBackend;
 
 impl MilpBackend {
     /// Above this many tasks the backend returns its heuristic incumbent as
-    /// a best-effort [`ExactOutcome::Feasible`] instead of attempting the
+    /// a best-effort [`OptimalityStatus::Feasible`] instead of attempting the
     /// MILP: the dense simplex basis grows with the square of the pair
     /// count, and in the tight-but-feasible memory band the assignment
     /// enumeration multiplies on top (measured: ≤ 16 tasks stays within
@@ -82,26 +82,20 @@ impl MilpBackend {
     pub const MAX_TASKS: usize = 16;
 }
 
-impl ExactBackend for MilpBackend {
-    fn name(&self) -> &'static str {
+impl Solver for MilpBackend {
+    fn name(&self) -> &str {
         "Optimal(MILP)"
     }
 
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, limits: &SolveLimits) -> ExactOutcome {
-        solve_milp(graph, platform, limits, CancelSignal::default())
-    }
-
-    /// The MILP search polling `cancel` once per node — in the outer MILP
-    /// branch-and-bound, the heuristic incumbent seeding and the
-    /// fixed-assignment repair searches alike.
-    fn solve_cancellable(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        limits: &SolveLimits,
-        cancel: CancelSignal<'_>,
-    ) -> ExactOutcome {
-        solve_milp(graph, platform, limits, cancel)
+    /// The MILP search under `ctx.limits` (node budget = LP solves,
+    /// iteration budget per LP), polling `ctx.cancel` once per node — in
+    /// the outer MILP branch-and-bound, the heuristic incumbent seeding and
+    /// the fixed-assignment repair searches alike.
+    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
+        if let Some(rejected) = reject_invalid(graph) {
+            return rejected;
+        }
+        solve_milp(graph, platform, &ctx.limits, ctx.cancel)
     }
 }
 
@@ -521,74 +515,43 @@ fn no_good_cut(on_red: &[VarId], assignment: &[Memory]) -> (Vec<(f64, VarId)>, S
     (terms, Sense::Ge, rhs)
 }
 
-/// The MILP backend's solve loop (see the module docs).
+/// The MILP backend's solve loop (see the module docs) on a valid graph.
 fn solve_milp(
     graph: &TaskGraph,
     platform: &Platform,
     limits: &SolveLimits,
     cancel: CancelSignal<'_>,
-) -> ExactOutcome {
-    if graph.validate().is_err() {
-        return ExactOutcome::LimitHit { nodes: 0 };
-    }
+) -> SolveOutcome {
     if graph.is_empty() {
-        return ExactOutcome::Optimal {
-            schedule: Schedule::for_graph(graph),
-            makespan: 0.0,
-            nodes: 0,
-        };
+        return SolveOutcome::with_schedule(
+            Schedule::for_graph(graph),
+            OptimalityStatus::Optimal,
+            0,
+        );
     }
     let feas = memory_feasibility(graph, platform);
     if feas.is_infeasible() {
-        return ExactOutcome::Infeasible { nodes: 0 };
+        return SolveOutcome::without_schedule(OptimalityStatus::Infeasible, 0);
     }
     // A pre-tripped signal stops the solve before the incumbent seeding.
     if cancel.is_cancelled() {
-        return ExactOutcome::LimitHit { nodes: 0 };
+        return SolveOutcome::without_schedule(OptimalityStatus::LimitHit, 0);
     }
 
     // Incumbent seeding, exactly like the combinatorial backend: the best of
     // the two memory-aware heuristics (when they succeed). The heuristics
     // observe the same cancel signal per commit.
-    let mut best_schedule: Option<Schedule> = None;
-    let mut best_makespan = f64::INFINITY;
-    let seed_ctx = SolveCtx {
-        limits: SolveLimits::default(),
-        pool: None,
-        cancel,
-    };
-    for heuristic in [&MemHeft::new() as &dyn Solver, &MemMinMin::new()] {
-        if let Some(s) = heuristic.solve(graph, platform, &seed_ctx).schedule {
-            if s.makespan() < best_makespan {
-                best_makespan = s.makespan();
-                best_schedule = Some(s);
-            }
-        }
-    }
+    let (mut best_schedule, mut best_makespan) = heuristic_incumbent(graph, platform, cancel);
     // A mid-seeding trip keeps the incumbent (if any) but skips the search.
     if cancel.is_cancelled() {
-        return match best_schedule {
-            Some(schedule) => ExactOutcome::Feasible {
-                makespan: schedule.makespan(),
-                schedule,
-                nodes: 0,
-            },
-            None => ExactOutcome::LimitHit { nodes: 0 },
-        };
+        return search_outcome(best_schedule, false, 0);
     }
     let lower_bound = makespan_lower_bound_with_memory(graph, platform);
 
     // Instances beyond the MILP's reach: fall back to the heuristic
     // incumbent without any optimality claim (mirrors a truncated B&B).
     if graph.n_tasks() > MilpBackend::MAX_TASKS {
-        return match best_schedule {
-            Some(schedule) => ExactOutcome::Feasible {
-                makespan: schedule.makespan(),
-                schedule,
-                nodes: 0,
-            },
-            None => ExactOutcome::LimitHit { nodes: 0 },
-        };
+        return search_outcome(best_schedule, false, 0);
     }
 
     // Big-M horizon: only schedules at least as good as the incumbent are
@@ -605,11 +568,11 @@ fn solve_milp(
         lower_bound
     };
     if best_makespan <= lower_bound + EPSILON {
-        return ExactOutcome::Optimal {
-            makespan: best_makespan,
-            schedule: best_schedule.expect("finite makespan implies a schedule"),
-            nodes: 0,
-        };
+        return SolveOutcome::with_schedule(
+            best_schedule.expect("finite makespan implies a schedule"),
+            OptimalityStatus::Optimal,
+            0,
+        );
     }
     let horizon = if best_makespan.is_finite() {
         if integral {
@@ -715,21 +678,7 @@ fn solve_milp(
     );
 
     let nodes = result.nodes + repair_nodes;
-    let proven = result.proven && repair_complete;
-    match (best_schedule, proven) {
-        (Some(schedule), true) => ExactOutcome::Optimal {
-            makespan: schedule.makespan(),
-            schedule,
-            nodes,
-        },
-        (Some(schedule), false) => ExactOutcome::Feasible {
-            makespan: schedule.makespan(),
-            schedule,
-            nodes,
-        },
-        (None, true) => ExactOutcome::Infeasible { nodes },
-        (None, false) => ExactOutcome::LimitHit { nodes },
-    }
+    search_outcome(best_schedule, result.proven && repair_complete, nodes)
 }
 
 #[cfg(test)]
@@ -738,9 +687,19 @@ mod tests {
     use crate::bb::BranchAndBound;
     use mals_gen::dex;
 
-    fn solve(platform: &Platform) -> ExactOutcome {
+    /// A MILP solve under the default limits.
+    fn milp(g: &TaskGraph, platform: &Platform) -> SolveOutcome {
+        MilpBackend.solve(g, platform, &SolveCtx::sequential())
+    }
+
+    /// A B&B solve under the default limits.
+    fn bb(g: &TaskGraph, platform: &Platform) -> SolveOutcome {
+        BranchAndBound.solve(g, platform, &SolveCtx::sequential())
+    }
+
+    fn solve(platform: &Platform) -> SolveOutcome {
         let (g, _) = dex();
-        ExactBackend::solve(&MilpBackend, &g, platform, &SolveLimits::default())
+        milp(&g, platform)
     }
 
     #[test]
@@ -750,7 +709,7 @@ mod tests {
         let outcome = solve(&platform);
         assert!(outcome.is_optimal(), "{outcome:?}");
         assert!((outcome.makespan().unwrap() - 6.0).abs() < 1e-9);
-        let report = validate(&g, &platform, outcome.schedule().unwrap());
+        let report = validate(&g, &platform, outcome.schedule.as_ref().unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
         assert!(report.peaks.blue <= 5.0 + 1e-9 && report.peaks.red <= 5.0 + 1e-9);
     }
@@ -764,7 +723,7 @@ mod tests {
         let outcome = solve(&platform);
         assert!(outcome.is_optimal(), "{outcome:?}");
         assert!((outcome.makespan().unwrap() - 7.0).abs() < 1e-9);
-        let report = validate(&g, &platform, outcome.schedule().unwrap());
+        let report = validate(&g, &platform, outcome.schedule.as_ref().unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
         assert!(report.peaks.blue <= 4.0 + 1e-9 && report.peaks.red <= 4.0 + 1e-9);
     }
@@ -772,18 +731,14 @@ mod tests {
     #[test]
     fn dex_infeasible_with_memory_2_is_proven() {
         let outcome = solve(&Platform::single_pair(2.0, 2.0));
-        assert!(matches!(outcome, ExactOutcome::Infeasible { nodes: 0 }));
+        assert_eq!(outcome.status, OptimalityStatus::Infeasible);
+        assert_eq!(outcome.nodes, 0);
     }
 
     #[test]
     fn empty_graph_is_trivially_optimal() {
         let g = TaskGraph::new();
-        let outcome = ExactBackend::solve(
-            &MilpBackend,
-            &g,
-            &Platform::default(),
-            &SolveLimits::default(),
-        );
+        let outcome = milp(&g, &Platform::default());
         assert!(outcome.is_optimal());
         assert_eq!(outcome.makespan(), Some(0.0));
     }
@@ -793,10 +748,10 @@ mod tests {
         let (g, _) = dex();
         for (blue, red) in [(4.0, 5.0), (5.0, 4.0), (3.0, 5.0), (10.0, 10.0)] {
             let platform = Platform::single_pair(blue, red);
-            let milp = ExactBackend::solve(&MilpBackend, &g, &platform, &SolveLimits::default());
-            let bb = BranchAndBound::default().solve(&g, &platform);
-            assert!(bb.proven_optimal);
-            match (milp.makespan(), bb.makespan) {
+            let milp = milp(&g, &platform);
+            let bb = bb(&g, &platform);
+            assert!(bb.is_proven());
+            match (milp.makespan(), bb.makespan()) {
                 (Some(a), Some(b)) => {
                     assert!(milp.is_optimal());
                     assert!((a - b).abs() < 1e-6, "({blue},{red}): milp {a} vs bb {b}");
@@ -815,11 +770,11 @@ mod tests {
         let platform = Platform::single_pair(10.0, 3.5);
         let outcome = solve(&platform);
         assert!(outcome.is_optimal(), "{outcome:?}");
-        let schedule = outcome.schedule().unwrap();
+        let schedule = outcome.schedule.as_ref().unwrap();
         let report = validate(&g, &platform, schedule);
         assert!(report.is_valid(), "{:?}", report.errors);
-        let bb = BranchAndBound::default().solve(&g, &platform);
-        assert!((outcome.makespan().unwrap() - bb.makespan.unwrap()).abs() < 1e-6);
+        let bb = bb(&g, &platform);
+        assert!((outcome.makespan().unwrap() - bb.makespan().unwrap()).abs() < 1e-6);
     }
 
     #[test]
@@ -828,12 +783,12 @@ mod tests {
         // the extraction handles the packing; cross-check against bb.
         let (g, _) = dex();
         let platform = Platform::new(2, 2, 6.0, 6.0).unwrap();
-        let milp = ExactBackend::solve(&MilpBackend, &g, &platform, &SolveLimits::default());
-        let bb = BranchAndBound::default().solve(&g, &platform);
-        assert!(bb.proven_optimal);
-        let (a, b) = (milp.makespan().unwrap(), bb.makespan.unwrap());
+        let milp = milp(&g, &platform);
+        let bb = bb(&g, &platform);
+        assert!(bb.is_proven());
+        let (a, b) = (milp.makespan().unwrap(), bb.makespan().unwrap());
         assert!((a - b).abs() < 1e-6, "milp {a} vs bb {b}");
-        let report = validate(&g, &platform, milp.schedule().unwrap());
+        let report = validate(&g, &platform, milp.schedule.as_ref().unwrap());
         assert!(report.is_valid(), "{:?}", report.errors);
     }
 }

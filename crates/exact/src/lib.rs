@@ -22,12 +22,13 @@
 //! * [`compact`] — the MILP **exact backend**: a compact disjunctive model
 //!   solved with the in-tree MILP machinery, with lazy memory enforcement
 //!   through the simulator's validator;
-//! * [`backend`] — the pluggable [`backend::ExactBackend`] layer tying the
-//!   three backends (B&B, MILP, LP export) behind one trait for the
-//!   experiment campaigns (`--exact-backend {milp,bb,lp-export}`);
-//! * [`solvers`] — the backends as unified [`mals_sched::Solver`]s and
-//!   [`solver_registry`], the full name-keyed registry (heuristics + exact)
-//!   that the drivers and the service surface resolve solver names against;
+//! * [`backend`] — the `--exact-backend {milp,bb,lp-export}` flag values
+//!   ([`ExactBackendKind`]) and the LP exporter ([`backend::LpExport`]);
+//! * [`solvers`] — [`solver_registry`], the full name-keyed registry
+//!   (heuristics + exact) that the drivers and the service surface resolve
+//!   solver names against. Every exact backend is a [`mals_sched::Solver`]:
+//!   its node budget comes from `SolveCtx::limits`, its cancellation from
+//!   `SolveCtx::cancel`, and it answers a [`mals_sched::SolveOutcome`];
 //! * [`bounds`] — makespan lower bounds (critical path, load balance,
 //!   memory-feasibility) shared by both exact solvers for pruning and
 //!   plotted as the "Lower bound" series of Figure 11.
@@ -44,8 +45,8 @@ pub mod model;
 pub mod simplex;
 pub mod solvers;
 
-pub use backend::{ExactBackend, ExactBackendKind, ExactOutcome, ExactScheduler, SolveLimits};
-pub use bb::{BranchAndBound, ExactResult};
+pub use backend::ExactBackendKind;
+pub use bb::BranchAndBound;
 pub use bounds::{
     critical_path_lower_bound, load_lower_bound, makespan_lower_bound, memory_feasibility,
     optimistic_bottom_levels, MemoryFeasibility,
@@ -55,4 +56,7 @@ pub use ilp::{build_ilp, IlpStats};
 pub use milp::{MilpLimits, MilpResult, MilpSolver, MilpStatus};
 pub use model::{Constraint, LpModel, Sense, StandardForm, VarId, VarKind};
 pub use simplex::{solve_lp, LpSolution, LpStatus};
-pub use solvers::{engine, outcome_from_exact, solver_registry};
+pub use solvers::{engine, solver_registry};
+// The budget type lives next to the `Solver` trait; it is re-exported here
+// because the exact backends are its primary consumer.
+pub use mals_sched::SolveLimits;

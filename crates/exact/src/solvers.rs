@@ -1,8 +1,8 @@
-//! The exact backends as unified [`Solver`]s, and the full solver registry.
+//! The full solver registry, and the pieces the two exact searches share.
 //!
-//! [`mals_sched::Solver`] subsumes the heuristics and the exact layer behind
-//! one interface; this module implements it for every [`ExactBackend`] in
-//! the crate (mapping [`ExactOutcome`] onto [`SolveOutcome`]) and assembles
+//! Every exact backend implements [`mals_sched::Solver`] directly, next to
+//! its search ([`BranchAndBound`] in `bb.rs`, [`MilpBackend`] in
+//! `compact.rs`, [`LpExport`] in `backend.rs`). This module assembles
 //! [`solver_registry`] — the registry the experiment binaries, the facade
 //! and the JSON service surface resolve solver names against:
 //!
@@ -11,81 +11,69 @@
 //! | every [`SolverRegistry::heuristics`] key | `memheft`, `minmin`, … | `Heuristic` |
 //! | `bb` | [`BranchAndBound`] | `Optimal` / `Feasible` |
 //! | `milp` | [`MilpBackend`] | `Optimal` / `Feasible` |
-//! | `lp-export` | [`LpExport`] (writes nothing without a path) | `LimitHit` |
+//! | `lp-export` | [`LpExport`] (solves nothing) | `LimitHit` |
+//!
+//! Every exact solver answers a cyclic graph like the heuristics do:
+//! `Infeasible` with [`SolveOutcome::error`] naming the cycle.
 
-use crate::backend::{ExactBackend, ExactOutcome, LpExport};
+use crate::backend::LpExport;
 use crate::bb::BranchAndBound;
 use crate::compact::MilpBackend;
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sched::{
-    Engine, EngineConfig, OptimalityStatus, SolveCtx, SolveOutcome, Solver, SolverInfo,
-    SolverRegistry,
+    Engine, EngineConfig, MemHeft, MemMinMin, OptimalityStatus, SolveCtx, SolveOutcome, Solver,
+    SolverInfo, SolverRegistry,
 };
+use mals_sim::Schedule;
+use mals_util::CancelSignal;
 
-/// Maps an exact-backend outcome onto the unified outcome type.
-pub fn outcome_from_exact(outcome: ExactOutcome) -> SolveOutcome {
-    match outcome {
-        ExactOutcome::Optimal {
-            schedule, nodes, ..
-        } => SolveOutcome::with_schedule(schedule, OptimalityStatus::Optimal, nodes),
-        ExactOutcome::Feasible {
-            schedule, nodes, ..
-        } => SolveOutcome::with_schedule(schedule, OptimalityStatus::Feasible, nodes),
-        ExactOutcome::Infeasible { nodes } => {
-            SolveOutcome::without_schedule(OptimalityStatus::Infeasible, nodes)
+/// The outcome every solver gives an invalid graph (e.g. a cycle):
+/// `Infeasible`, with the cause in [`SolveOutcome::error`]. `None` for a
+/// valid graph.
+pub(crate) fn reject_invalid(graph: &TaskGraph) -> Option<SolveOutcome> {
+    let error = graph.validate().err()?;
+    Some(SolveOutcome::from_heuristic(Err(error.into())))
+}
+
+/// The best of the MemHEFT and MemMinMin schedules (when they succeed) and
+/// its makespan (`+∞` without one): the incumbent both exact searches start
+/// from. The heuristics poll `cancel` once per commit.
+pub(crate) fn heuristic_incumbent(
+    graph: &TaskGraph,
+    platform: &Platform,
+    cancel: CancelSignal<'_>,
+) -> (Option<Schedule>, f64) {
+    let seed_ctx = SolveCtx {
+        cancel,
+        ..SolveCtx::default()
+    };
+    let mut best_schedule = None;
+    let mut best_makespan = f64::INFINITY;
+    for heuristic in [&MemHeft::new() as &dyn Solver, &MemMinMin::new()] {
+        if let Some(s) = heuristic.solve(graph, platform, &seed_ctx).schedule {
+            if s.makespan() < best_makespan {
+                best_makespan = s.makespan();
+                best_schedule = Some(s);
+            }
         }
-        ExactOutcome::LimitHit { nodes } => {
-            SolveOutcome::without_schedule(OptimalityStatus::LimitHit, nodes)
+    }
+    (best_schedule, best_makespan)
+}
+
+/// The outcome of a search that stopped after `nodes` nodes with `best` as
+/// its incumbent. `complete`: the search space was exhausted, so the
+/// incumbent is optimal, or its absence proves infeasibility.
+pub(crate) fn search_outcome(best: Option<Schedule>, complete: bool, nodes: u64) -> SolveOutcome {
+    match (best, complete) {
+        (Some(schedule), true) => {
+            SolveOutcome::with_schedule(schedule, OptimalityStatus::Optimal, nodes)
         }
-    }
-}
-
-impl Solver for BranchAndBound {
-    fn name(&self) -> &str {
-        ExactBackend::name(self)
-    }
-
-    /// The combinatorial search under `ctx.limits` (the pool is unused: the
-    /// search is sequential by construction), polling `ctx.cancel` per node.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        outcome_from_exact(ExactBackend::solve_cancellable(
-            self,
-            graph,
-            platform,
-            &ctx.limits,
-            ctx.cancel,
-        ))
-    }
-}
-
-impl Solver for MilpBackend {
-    fn name(&self) -> &str {
-        ExactBackend::name(self)
-    }
-
-    /// The MILP search under `ctx.limits` (node budget = LP solves,
-    /// iteration budget per LP), polling `ctx.cancel` per node.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        outcome_from_exact(ExactBackend::solve_cancellable(
-            self,
-            graph,
-            platform,
-            &ctx.limits,
-            ctx.cancel,
-        ))
-    }
-}
-
-impl Solver for LpExport {
-    fn name(&self) -> &str {
-        ExactBackend::name(self)
-    }
-
-    /// Writes the § 4 ILP when a path is configured and reports
-    /// [`OptimalityStatus::LimitHit`] — the exporter never solves.
-    fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        outcome_from_exact(ExactBackend::solve(self, graph, platform, &ctx.limits))
+        (Some(schedule), false) => {
+            SolveOutcome::with_schedule(schedule, OptimalityStatus::Feasible, nodes)
+        }
+        (None, true) => SolveOutcome::without_schedule(OptimalityStatus::Infeasible, nodes),
+        (None, false) => SolveOutcome::without_schedule(OptimalityStatus::LimitHit, nodes),
     }
 }
 
@@ -100,7 +88,7 @@ pub fn solver_registry() -> SolverRegistry {
             memory_aware: true,
             exact: true,
         },
-        |_| Box::new(BranchAndBound::default()),
+        |_| Box::new(BranchAndBound),
     );
     registry.register(
         SolverInfo {
@@ -118,7 +106,7 @@ pub fn solver_registry() -> SolverRegistry {
             memory_aware: true,
             exact: false,
         },
-        |_| Box::new(LpExport::default()),
+        |_| Box::new(LpExport),
     );
     registry
 }

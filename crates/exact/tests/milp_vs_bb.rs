@@ -4,9 +4,10 @@
 //! each one vouches for the other (the role CPLEX plays for the paper's
 //! Figure 10).
 
-use mals_exact::{BranchAndBound, ExactBackend, MilpBackend, SolveLimits};
+use mals_exact::{BranchAndBound, MilpBackend};
 use mals_gen::{dex, DaggenParams, WeightRanges};
 use mals_platform::Platform;
+use mals_sched::{SolveCtx, Solver};
 use mals_sim::validate;
 use mals_util::Pcg64;
 use proptest::prelude::*;
@@ -30,9 +31,9 @@ fn arb_small_graph() -> impl Strategy<Value = mals_dag::TaskGraph> {
 
 /// Solves with both backends and checks agreement + validator cleanliness.
 fn assert_mutual_oracle(graph: &mals_dag::TaskGraph, platform: &Platform) {
-    let limits = SolveLimits::default();
-    let milp = MilpBackend.solve(graph, platform, &limits);
-    let bb = ExactBackend::solve(&BranchAndBound::default(), graph, platform, &limits);
+    let ctx = SolveCtx::sequential();
+    let milp = MilpBackend.solve(graph, platform, &ctx);
+    let bb = BranchAndBound.solve(graph, platform, &ctx);
     assert!(
         milp.is_proven(),
         "MILP backend must settle small instances: {milp:?}"
@@ -48,7 +49,7 @@ fn assert_mutual_oracle(graph: &mals_dag::TaskGraph, platform: &Platform) {
                 "optimal makespans disagree: MILP {a} vs B&B {b}"
             );
             for (name, outcome) in [("MILP", &milp), ("B&B", &bb)] {
-                let report = validate(graph, platform, outcome.schedule().unwrap());
+                let report = validate(graph, platform, outcome.schedule.as_ref().unwrap());
                 assert!(
                     report.is_valid(),
                     "{name} schedule rejected by the validator: {:?}",
@@ -86,12 +87,12 @@ proptest! {
     fn milp_never_worse_than_bb_under_tight_memory(graph in arb_small_graph()) {
         let bound = (0.6 * graph.total_file_size()).max(graph.max_mem_req());
         let platform = Platform::single_pair(bound, bound);
-        let limits = SolveLimits::default();
-        let milp = MilpBackend.solve(&graph, &platform, &limits);
-        let bb = ExactBackend::solve(&BranchAndBound::default(), &graph, &platform, &limits);
+        let ctx = SolveCtx::sequential();
+        let milp = MilpBackend.solve(&graph, &platform, &ctx);
+        let bb = BranchAndBound.solve(&graph, &platform, &ctx);
         if let (Some(a), Some(b)) = (milp.makespan(), bb.makespan()) {
             assert!(a <= b + 1e-6, "MILP {a} worse than B&B {b}");
-            let report = validate(&graph, &platform, milp.schedule().unwrap());
+            let report = validate(&graph, &platform, milp.schedule.as_ref().unwrap());
             assert!(report.is_valid(), "{:?}", report.errors);
         }
         if bb.makespan().is_some() {

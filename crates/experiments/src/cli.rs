@@ -336,12 +336,12 @@ mod tests {
         // Unknown keys echo back so header lines never panic.
         assert_eq!(solver_display_name("mystery"), "mystery");
         // Every backend kind's key is registered.
-        for kind in [
-            ExactBackendKind::BranchAndBound,
-            ExactBackendKind::Milp,
-            ExactBackendKind::LpExport,
+        for (kind, name) in [
+            (ExactBackendKind::BranchAndBound, "Optimal(B&B)"),
+            (ExactBackendKind::Milp, "Optimal(MILP)"),
+            (ExactBackendKind::LpExport, "ILP(LP-export)"),
         ] {
-            assert_eq!(solver_display_name(kind.solver_key()), kind.method_name());
+            assert_eq!(solver_display_name(kind.solver_key()), name);
         }
     }
 

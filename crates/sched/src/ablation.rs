@@ -3,8 +3,9 @@
 //! The paper makes several design choices in MemHEFT without evaluating the
 //! alternatives: the priority scheme (upward rank), random tie-breaking among
 //! equal-rank tasks, and the memory preferred when both memories give the
-//! same earliest finish time. [`MemHeftVariant`] exposes those choices so the
-//! ablation benchmarks (`mals-bench`) can quantify their impact.
+//! same earliest finish time. [`MemHeftVariant`] exposes those choices as the
+//! registry solvers `memheft-{cpsum,memreq,red,rand}`, so any campaign or
+//! `schedule --solver` run can quantify their impact.
 
 use crate::error::ScheduleError;
 use crate::memheft::schedule_with_priority;
@@ -48,7 +49,7 @@ pub enum MemoryPreference {
     Red,
 }
 
-/// A configurable MemHEFT used by the ablation benchmarks.
+/// A configurable MemHEFT: the ablation variants of the solver registry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemHeftVariant {
     /// Priority list construction.

@@ -1,12 +1,10 @@
 //! The unified solver interface.
 //!
-//! Historically the workspace had two parallel solving worlds: the heuristics
-//! behind [`Scheduler`] and the exact backends behind
-//! `mals_exact::ExactBackend`, and every experiment driver hard-coded which
-//! structs it instantiated. The [`Solver`] trait subsumes both: a solve takes
-//! a task graph, a platform and a [`SolveCtx`] (budgets + an optional shared
-//! worker pool) and returns a [`SolveOutcome`] — the schedule, if any,
-//! together with an [`OptimalityStatus`] saying *what was proven about it*.
+//! Every solver — heuristic or exact — implements [`Solver`]: a solve takes
+//! a task graph, a platform and a [`SolveCtx`] (budgets, an optional shared
+//! worker pool and a cancel signal) and returns a [`SolveOutcome`] — the
+//! schedule, if any, together with an [`OptimalityStatus`] saying *what was
+//! proven about it*.
 //!
 //! * heuristics return [`OptimalityStatus::Heuristic`] schedules;
 //! * exact solvers return `Optimal`, `Feasible` (incumbent without a proof),
@@ -260,6 +258,15 @@ impl SolveOutcome {
     /// `true` for [`OptimalityStatus::Optimal`].
     pub fn is_optimal(&self) -> bool {
         self.status == OptimalityStatus::Optimal
+    }
+
+    /// `true` when the outcome settles the instance: an optimal schedule
+    /// or a proof of infeasibility.
+    pub fn is_proven(&self) -> bool {
+        matches!(
+            self.status,
+            OptimalityStatus::Optimal | OptimalityStatus::Infeasible
+        )
     }
 }
 

@@ -72,9 +72,9 @@ fn s1_violates_memory_4() {
 fn optimal_makespan_is_6_with_memory_5() {
     let (graph, _) = dex();
     let platform = Platform::single_pair(5.0, 5.0);
-    let result = BranchAndBound::default().solve(&graph, &platform);
-    assert!(result.proven_optimal);
-    assert_eq!(result.makespan, Some(6.0));
+    let result = BranchAndBound.solve(&graph, &platform, &SolveCtx::sequential());
+    assert!(result.is_proven());
+    assert_eq!(result.makespan(), Some(6.0));
 }
 
 #[test]
@@ -82,10 +82,10 @@ fn memory_4_forces_a_slower_schedule_like_s2() {
     // The paper's s2 trades a makespan of 7 for peaks of at most 4.
     let (graph, _) = dex();
     let platform = Platform::single_pair(4.0, 4.0);
-    let result = BranchAndBound::default().solve(&graph, &platform);
-    assert!(result.proven_optimal);
+    let result = BranchAndBound.solve(&graph, &platform, &SolveCtx::sequential());
+    assert!(result.is_proven());
     let makespan = result
-        .makespan
+        .makespan()
         .expect("D_ex is schedulable with 4 units per side");
     assert!(makespan > 6.0 && makespan <= 7.0 + 1e-9, "got {makespan}");
     let schedule = result.schedule.unwrap();

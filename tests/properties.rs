@@ -102,8 +102,9 @@ proptest! {
             &mut rng,
         );
         let platform = Platform::single_pair(150.0, 150.0);
-        let exact = BranchAndBound::with_node_limit(200_000).solve(&graph, &platform);
-        let opt = exact.makespan.expect("ample memory");
+        let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(200_000));
+        let exact = BranchAndBound.solve(&graph, &platform, &ctx);
+        let opt = exact.makespan().expect("ample memory");
         let lb = mals::exact::makespan_lower_bound(&graph, &platform);
         prop_assert!(opt >= lb - 1e-9);
         for scheduler in [&MemHeft::new() as &dyn Scheduler, &MemMinMin::new()] {

@@ -121,6 +121,25 @@ fn infeasible_instances_are_never_given_schedules_by_exact_solvers() {
 }
 
 #[test]
+fn cyclic_graphs_are_rejected_with_an_error_by_every_solver() {
+    let mut graph = TaskGraph::new();
+    let a = graph.add_task("T0", 1.0, 1.0);
+    let b = graph.add_task("T1", 1.0, 1.0);
+    graph.add_edge(a, b, 1.0, 1.0).unwrap();
+    graph.add_edge(b, a, 1.0, 1.0).unwrap();
+    let platform = Platform::single_pair(5.0, 5.0);
+    for entry in registry().entries() {
+        let key = entry.info.key;
+        if key == "portfolio" {
+            continue;
+        }
+        let outcome = entry.build(0).solve(&graph, &platform, &ctx());
+        assert_eq!(outcome.status, OptimalityStatus::Infeasible, "{key}");
+        assert!(outcome.error.is_some(), "{key}: no error for a cycle");
+    }
+}
+
+#[test]
 fn engine_batch_api_agrees_with_single_solves() {
     let graphs: Vec<TaskGraph> = (0..3)
         .map(|i| {
