@@ -69,6 +69,40 @@ fn bounded_single_pair(graph: &TaskGraph) -> Platform {
     platform.with_memory_bounds(bound, bound)
 }
 
+/// Applies 4 000 pseudo-random reservations and releases to a staircase,
+/// `batch_size` per mutation batch, and returns its final breakpoint count.
+fn staircase_storm(batch_size: usize) -> usize {
+    use mals_util::Staircase;
+    let mut stair = Staircase::constant(1_000_000.0);
+    let mut state = 0x1234_5678_9ABC_DEF0u64;
+    let mut rng = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    let mut left = 4_000;
+    while left > 0 {
+        let n = batch_size.min(left);
+        left -= n;
+        let mut batch = stair.batch();
+        for _ in 0..n {
+            let t1 = (rng() % 1_000_000) as f64 / 10.0;
+            let len = 1.0 + (rng() % 5_000) as f64 / 10.0;
+            let size = 1.0 + (rng() % 100) as f64;
+            if rng() % 4 == 0 {
+                // A release tail (the output-reservation shape).
+                batch.add_from(t1, if rng() % 2 == 0 { -size } else { size });
+            } else {
+                // A reservation window: two new breakpoints that stay,
+                // so the profile grows to thousands of segments.
+                batch.add_range(t1, t1 + len, -size);
+            }
+        }
+    }
+    stair.len()
+}
+
 /// The benchmark set. `quick` keeps CI smoke runs in seconds; the full set
 /// grows the medium instance from 150 to 400 tasks.
 ///
@@ -282,36 +316,19 @@ fn benches(quick: bool) -> Vec<Bench> {
     // interleaved `add_range` / `add_from` deltas over a profile that grows
     // to thousands of breakpoints — the reserve/release pattern of a commit,
     // without the scheduler around it. Guards the chunked insert/repair
-    // (split-on-full, merge-on-sparse, summary patching) directly.
-    set.push(Bench {
-        id: "staircase/insert-storm".into(),
-        run: Box::new(|| {
-            use mals_util::Staircase;
-            let mut stair = Staircase::constant(1_000_000.0);
-            let mut state = 0x1234_5678_9ABC_DEF0u64;
-            let mut rng = move || {
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
-            for _ in 0..4_000 {
-                let t1 = (rng() % 1_000_000) as f64 / 10.0;
-                let len = 1.0 + (rng() % 5_000) as f64 / 10.0;
-                let size = 1.0 + (rng() % 100) as f64;
-                if rng() % 4 == 0 {
-                    // A release tail (the output-reservation shape).
-                    stair.add_from(t1, if rng() % 2 == 0 { -size } else { size });
-                } else {
-                    // A reservation window: two new breakpoints that stay,
-                    // so the profile grows to thousands of segments.
-                    stair.add_range(t1, t1 + len, -size);
-                }
-            }
-            std::hint::black_box(stair.len());
-        }),
-        min_samples: None,
-    });
+    // (split-on-full, merge-on-sparse, summary patching) directly; the
+    // batch row applies the same storm in batches of 36 mutations, the
+    // size of a commit on a 10⁵-task DAG, so each batch repairs the
+    // extrema once.
+    for (id, batch_size) in [("staircase/insert-storm", 1), ("staircase/batch-storm", 36)] {
+        set.push(Bench {
+            id: id.into(),
+            run: Box::new(move || {
+                std::hint::black_box(staircase_storm(batch_size));
+            }),
+            min_samples: None,
+        });
+    }
 
     // The streaming campaign harness over 1000 seeds of tiny DAGs: generate
     // from seed, solve at two α points, fold into the constant-memory

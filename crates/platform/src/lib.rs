@@ -23,7 +23,7 @@ pub mod memory;
 pub mod platform;
 pub mod proc_state;
 
-pub use mem_state::MemoryState;
+pub use mem_state::{MemoryBatch, MemoryState};
 pub use memory::Memory;
 pub use platform::{Platform, PlatformError, ProcId};
 pub use proc_state::ProcessorState;

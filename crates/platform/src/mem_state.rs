@@ -11,6 +11,11 @@
 //! * find the earliest instant after which a given amount of space is
 //!   available **for good** (the `task_mem_EST` / `comm_mem_EST` queries).
 //!
+//! Reservations and releases run inside a [`MemoryState::batch`]. A commit
+//! issues several of them in a row through one batch, so each profile
+//! repairs its derived extrema once per commit rather than once per
+//! mutation.
+//!
 //! A memory with a `+∞` bound keeps no profile: the mutators return at once
 //! and [`MemoryState::earliest_fit`] answers without looking, so the
 //! memory-oblivious baselines (HEFT, MinMin) pay nothing for staircases that
@@ -18,7 +23,7 @@
 
 use crate::memory::Memory;
 use crate::platform::Platform;
-use mals_util::{Staircase, EPSILON};
+use mals_util::{Staircase, StaircaseBatch, EPSILON};
 
 /// Memory usage profiles for the two memories of a dual-memory platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,13 +47,6 @@ impl MemoryState {
         self.bounds[mem.index()]
     }
 
-    /// Whether memory `µ` keeps a usage profile: only a bounded memory
-    /// does, since nothing reads the profile of an unbounded one.
-    #[inline]
-    fn keeps_profile(&self, mem: Memory) -> bool {
-        !self.bound(mem).is_infinite()
-    }
-
     /// Amount of memory `µ` in use at time `t`.
     ///
     /// An unbounded memory keeps no profile, so this reads `0` there.
@@ -64,29 +62,14 @@ impl MemoryState {
         self.bound(mem) - self.used_at(mem, t)
     }
 
-    /// Reserves `amount` units of memory `µ` from time `t` onwards
-    /// (a file produced at `t` whose consumer is not scheduled yet).
-    pub fn reserve_from(&mut self, mem: Memory, t: f64, amount: f64) {
-        if amount != 0.0 && self.keeps_profile(mem) {
-            self.used[mem.index()].add_from(t, amount);
-        }
-    }
-
-    /// Reserves `amount` units of memory `µ` on `[t1, t2)` (a file that is
-    /// known to be consumed at `t2`, e.g. an input file of the task being
-    /// scheduled, or a file in transit during a cross-memory copy).
-    pub fn reserve_range(&mut self, mem: Memory, t1: f64, t2: f64, amount: f64) {
-        if amount != 0.0 && self.keeps_profile(mem) {
-            self.used[mem.index()].add_range(t1, t2, amount);
-        }
-    }
-
-    /// Releases `amount` units of memory `µ` from time `t` onwards (a file
-    /// reserved with [`MemoryState::reserve_from`] whose consumer has now
-    /// been scheduled to complete at `t`).
-    pub fn release_from(&mut self, mem: Memory, t: f64, amount: f64) {
-        if amount != 0.0 && self.keeps_profile(mem) {
-            self.used[mem.index()].add_from(t, -amount);
+    /// Opens a batch of reservations and releases over both profiles (the
+    /// only way to mutate them): the extrema of each profile are repaired
+    /// once, when the batch is dropped (see [`StaircaseBatch`]).
+    pub fn batch(&mut self) -> MemoryBatch<'_> {
+        let [blue, red] = &mut self.used;
+        MemoryBatch {
+            bounds: self.bounds,
+            used: [blue.batch(), red.batch()],
         }
     }
 
@@ -136,6 +119,52 @@ impl MemoryState {
     }
 }
 
+/// Reservations and releases over both profiles of a [`MemoryState`],
+/// opened by [`MemoryState::batch`]. Each mutation's values apply at once,
+/// in call order; dropping the batch settles the derived extrema of both
+/// profiles. A memory with a `+∞` bound keeps no profile, so its mutations
+/// return at once.
+#[derive(Debug)]
+pub struct MemoryBatch<'a> {
+    bounds: [f64; 2],
+    used: [StaircaseBatch<'a>; 2],
+}
+
+impl MemoryBatch<'_> {
+    /// Whether memory `µ` keeps a usage profile: only a bounded memory
+    /// does, since nothing reads the profile of an unbounded one.
+    #[inline]
+    fn keeps_profile(&self, mem: Memory) -> bool {
+        !self.bounds[mem.index()].is_infinite()
+    }
+
+    /// Reserves `amount` units of memory `µ` from time `t` onwards
+    /// (a file produced at `t` whose consumer is not scheduled yet).
+    pub fn reserve_from(&mut self, mem: Memory, t: f64, amount: f64) {
+        if amount != 0.0 && self.keeps_profile(mem) {
+            self.used[mem.index()].add_from(t, amount);
+        }
+    }
+
+    /// Reserves `amount` units of memory `µ` on `[t1, t2)` (a file that is
+    /// known to be consumed at `t2`, e.g. an input file of the task being
+    /// scheduled, or a file in transit during a cross-memory copy).
+    pub fn reserve_range(&mut self, mem: Memory, t1: f64, t2: f64, amount: f64) {
+        if amount != 0.0 && self.keeps_profile(mem) {
+            self.used[mem.index()].add_range(t1, t2, amount);
+        }
+    }
+
+    /// Releases `amount` units of memory `µ` from time `t` onwards (a file
+    /// reserved with [`MemoryBatch::reserve_from`] whose consumer has now
+    /// been scheduled to complete at `t`).
+    pub fn release_from(&mut self, mem: Memory, t: f64, amount: f64) {
+        if amount != 0.0 && self.keeps_profile(mem) {
+            self.used[mem.index()].add_from(t, -amount);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,11 +186,11 @@ mod tests {
     #[test]
     fn reserve_and_release() {
         let mut m = bounded(10.0, 10.0);
-        m.reserve_from(Memory::Blue, 2.0, 4.0);
+        m.batch().reserve_from(Memory::Blue, 2.0, 4.0);
         assert_eq!(m.used_at(Memory::Blue, 1.0), 0.0);
         assert_eq!(m.used_at(Memory::Blue, 3.0), 4.0);
         assert_eq!(m.free_at(Memory::Blue, 3.0), 6.0);
-        m.release_from(Memory::Blue, 6.0, 4.0);
+        m.batch().release_from(Memory::Blue, 6.0, 4.0);
         assert_eq!(m.used_at(Memory::Blue, 7.0), 0.0);
         // The peak: 4 units on [2, 6).
         assert_eq!(m.used_at(Memory::Blue, 2.0), 4.0);
@@ -174,7 +203,7 @@ mod tests {
     #[test]
     fn reserve_range_is_transient() {
         let mut m = bounded(10.0, 10.0);
-        m.reserve_range(Memory::Red, 3.0, 8.0, 6.0);
+        m.batch().reserve_range(Memory::Red, 3.0, 8.0, 6.0);
         assert_eq!(m.used_at(Memory::Red, 2.0), 0.0);
         assert_eq!(m.used_at(Memory::Red, 5.0), 6.0);
         assert_eq!(m.used_at(Memory::Red, 8.0), 0.0);
@@ -183,8 +212,9 @@ mod tests {
     #[test]
     fn earliest_fit_waits_for_release() {
         let mut m = bounded(10.0, 10.0);
-        m.reserve_range(Memory::Blue, 0.0, 6.0, 8.0); // 8 used until t=6
-                                                      // Need 5: must wait until t=6.
+        // 8 used until t=6.
+        m.batch().reserve_range(Memory::Blue, 0.0, 6.0, 8.0);
+        // Need 5: must wait until t=6.
         assert_eq!(m.earliest_fit(Memory::Blue, 0.0, 5.0), Some(6.0));
         // Need 2: fits right away.
         assert_eq!(m.earliest_fit(Memory::Blue, 0.0, 2.0), Some(0.0));
@@ -198,7 +228,7 @@ mod tests {
         let m = bounded(10.0, 10.0);
         assert_eq!(m.earliest_fit(Memory::Blue, 0.0, 11.0), None);
         let mut m2 = bounded(10.0, 10.0);
-        m2.reserve_from(Memory::Blue, 0.0, 7.0); // 7 used forever
+        m2.batch().reserve_from(Memory::Blue, 0.0, 7.0); // 7 used forever
         assert_eq!(m2.earliest_fit(Memory::Blue, 0.0, 5.0), None);
     }
 
@@ -212,25 +242,27 @@ mod tests {
     #[test]
     fn zero_amount_always_fits() {
         let mut m = bounded(5.0, 5.0);
-        m.reserve_from(Memory::Blue, 0.0, 5.0);
+        m.batch().reserve_from(Memory::Blue, 0.0, 5.0);
         assert_eq!(m.earliest_fit(Memory::Blue, 2.0, 0.0), Some(2.0));
     }
 
     #[test]
     fn invariant_violation_detected() {
         let mut m = bounded(5.0, 5.0);
-        m.reserve_from(Memory::Blue, 0.0, 7.0);
+        m.batch().reserve_from(Memory::Blue, 0.0, 7.0);
         assert!(m.check_invariants().is_err());
         let mut m2 = bounded(5.0, 5.0);
-        m2.release_from(Memory::Red, 0.0, 1.0);
+        m2.batch().release_from(Memory::Red, 0.0, 1.0);
         assert!(m2.check_invariants().is_err());
     }
 
     #[test]
     fn peak_usage_tracks_maximum() {
         let mut m = bounded(100.0, 100.0);
-        m.reserve_range(Memory::Blue, 0.0, 10.0, 30.0);
-        m.reserve_range(Memory::Blue, 5.0, 8.0, 50.0);
+        let mut batch = m.batch();
+        batch.reserve_range(Memory::Blue, 0.0, 10.0, 30.0);
+        batch.reserve_range(Memory::Blue, 5.0, 8.0, 50.0);
+        drop(batch);
         // The peak instant is the overlap [5, 8).
         assert!(approx_eq(m.used_at(Memory::Blue, 5.0), 80.0));
         assert!(approx_eq(m.used_at(Memory::Blue, 9.0), 30.0));
@@ -239,14 +271,16 @@ mod tests {
     #[test]
     fn unbounded_memory_keeps_no_profile() {
         let mut m = bounded(f64::INFINITY, 10.0);
-        m.reserve_from(Memory::Blue, 1.0, 5.0);
-        m.reserve_range(Memory::Blue, 0.0, 4.0, 3.0);
-        m.release_from(Memory::Blue, 2.0, 9.0);
+        let mut batch = m.batch();
+        batch.reserve_from(Memory::Blue, 1.0, 5.0);
+        batch.reserve_range(Memory::Blue, 0.0, 4.0, 3.0);
+        batch.release_from(Memory::Blue, 2.0, 9.0);
+        drop(batch);
         assert_eq!(m.used_at(Memory::Blue, 3.0), 0.0);
         assert_eq!(m.free_at(Memory::Blue, 3.0), f64::INFINITY);
         assert!(m.check_invariants().is_ok());
         // The bounded memory still tracks its usage.
-        m.reserve_range(Memory::Red, 0.0, 4.0, 3.0);
+        m.batch().reserve_range(Memory::Red, 0.0, 4.0, 3.0);
         assert_eq!(m.used_at(Memory::Red, 1.0), 3.0);
     }
 }

@@ -21,6 +21,30 @@
 //! the scan-everything loops, at a fraction of the evaluations: after a
 //! same-memory commit, the whole ready list keeps its other-memory
 //! evaluations.
+//!
+//! # Pruning the MemMinMin scan
+//!
+//! A MemMinMin step ([`EstCache::min_eft_choice`]) still has to look at
+//! every ready task, and every commit stales one memory's side of all of
+//! them. Most of those sides cannot win the step, and an exact lower bound
+//! proves it without an evaluation. For a stale side on memory `µ` whose
+//! last evaluation was `Some`:
+//!
+//! * `EST ≥ max(resource_µ, precedence_µ)`, so
+//!   `EFT ≥ max(resource_µ, precedence_µ) + W_µ` (float rounding is
+//!   monotone, and `evaluate` computes the EFT from the same terms);
+//! * `resource_µ` is read once per step from the processor state;
+//! * the stale breakdown's `precedence_µ` is still exact: it depends only on
+//!   the parents' placements, and a ready task's parents never move.
+//!
+//! When that bound cannot beat the best candidate so far
+//! (`PartialSchedule::cannot_beat`, beside the ordering it mirrors), the
+//! side is skipped and its slot stays stale. A skipped side cannot change
+//! the step: it cannot win on its own, and if the task's other side wins,
+//! the skipped side's EFT is larger, so combining the pair would have
+//! picked the winner anyway. Sides that were `None` (the task did not fit)
+//! and newly ready tasks are always evaluated, since a release may have
+//! made them fit.
 
 use crate::partial::{CommitEffects, EstBreakdown, PartialSchedule};
 use mals_dag::TaskId;
@@ -88,15 +112,67 @@ impl EstCache {
             out[mem.index()] = if slot.epoch == self.epoch[mem.index()] {
                 slot.value
             } else {
-                let value = partial.evaluate(task, mem);
-                self.slots[task.index()][mem.index()] = Slot {
-                    epoch: self.epoch[mem.index()],
-                    value,
-                };
-                value
+                self.reevaluate(partial, task, mem)
             };
         }
         out
+    }
+
+    /// Evaluates the `mem` side of `task` afresh and stores it as current.
+    fn reevaluate(
+        &mut self,
+        partial: &PartialSchedule<'_>,
+        task: TaskId,
+        mem: Memory,
+    ) -> Option<EstBreakdown> {
+        let value = partial.evaluate(task, mem);
+        self.slots[task.index()][mem.index()] = Slot {
+            epoch: self.epoch[mem.index()],
+            value,
+        };
+        value
+    }
+
+    /// One MemMinMin selection step over the ready tasks of `partial`: the
+    /// same choice as [`PartialSchedule::best_ready_choice`], scanning in
+    /// task-id order with the same (EFT, task-id) ordering, but reading
+    /// current sides from the cache and skipping stale sides that provably
+    /// cannot win (see the module docs). A skipped side stays stale.
+    pub fn min_eft_choice(
+        &mut self,
+        partial: &PartialSchedule<'_>,
+    ) -> Option<(TaskId, EstBreakdown)> {
+        let procs = partial.processor_state();
+        let resource = [Memory::Blue, Memory::Red].map(|mem| procs.earliest_available(mem));
+        let mut best: Option<(TaskId, EstBreakdown)> = None;
+        for task in partial.ready_iter() {
+            let mut pair = [None, None];
+            for mem in [Memory::Blue, Memory::Red] {
+                let i = mem.index();
+                let slot = self.slots[task.index()][i];
+                pair[i] = if slot.epoch == self.epoch[i] {
+                    slot.value
+                } else {
+                    if let Some(stale) = slot.value {
+                        // EST ≥ max(resource, precedence), and a ready
+                        // task's precedence never moves: a lower bound on
+                        // the EFT this side would evaluate to now.
+                        let work = partial.graph().task(task).work_on(mem.is_blue());
+                        let bound = resource[i].max(stale.precedence) + work;
+                        if PartialSchedule::cannot_beat(&best, task, bound) {
+                            continue;
+                        }
+                    }
+                    self.reevaluate(partial, task, mem)
+                };
+            }
+            if let Some(bd) = PartialSchedule::combine_pair(pair, false) {
+                if PartialSchedule::is_better_choice(&best, task, &bd) {
+                    best = Some((task, bd));
+                }
+            }
+        }
+        best
     }
 
     /// The preferred breakdown of a ready `task` under this cache —
@@ -115,6 +191,7 @@ impl EstCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::Scheduler;
     use mals_gen::{dex, DaggenParams, WeightRanges};
     use mals_platform::Platform;
     use mals_util::Pcg64;
@@ -148,6 +225,46 @@ mod tests {
             }
             assert!(committed, "ample memory: some ready task must fit");
         }
+    }
+
+    #[test]
+    fn pruned_choice_matches_best_ready_choice_at_every_commit() {
+        // Daggen DAGs under memory bounds α × HEFT's peak: at every commit
+        // the pruned, cached step must pick exactly what the uncached scan
+        // picks, and over the run some stale side must have been skipped.
+        let mut rng = Pcg64::new(1812);
+        let mut skipped = 0;
+        for _ in 0..3 {
+            let g = mals_gen::daggen::generate(
+                &DaggenParams {
+                    size: 120,
+                    width: 0.5,
+                    density: 0.3,
+                    jumps: 3,
+                },
+                &WeightRanges::small_rand(),
+                &mut rng,
+            );
+            let unbounded = Platform::new(2, 2, f64::INFINITY, f64::INFINITY).unwrap();
+            let heft = crate::Heft::new().schedule(&g, &unbounded).unwrap();
+            let peak = mals_sim::memory_peaks(&g, &unbounded, &heft).max();
+            for alpha in [0.3, 0.5, 0.7, 1.0] {
+                let platform = Platform::new(2, 2, alpha * peak, alpha * peak).unwrap();
+                let mut partial = PartialSchedule::new(&g, &platform);
+                let mut cache = EstCache::new(g.n_tasks());
+                loop {
+                    let pruned = cache.min_eft_choice(&partial);
+                    assert_eq!(pruned, partial.best_ready_choice(), "α = {alpha}");
+                    skipped += partial.ready_iter().filter(|&t| !cache.is_fresh(t)).count();
+                    let Some((task, bd)) = pruned else {
+                        break;
+                    };
+                    let effects = partial.commit(task, &bd);
+                    cache.apply(&effects);
+                }
+            }
+        }
+        assert!(skipped > 0, "the bound never pruned a side");
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! selection loops are incremental: `commit` maintains the ready frontier
 //! and reports what it changed ([`CommitEffects`]), and an exact
 //! epoch-based evaluation cache ([`incremental::EstCache`]) skips every
-//! re-evaluation whose inputs no commit touched — schedules are
+//! re-evaluation whose inputs no commit touched, and, in MemMinMin, every
+//! stale one an exact lower bound shows cannot win. Each commit repairs the
+//! memory profiles' extrema once, through one mutation batch. Schedules are
 //! bit-identical to the scan-everything engines at a fraction of the work,
 //! which is what scales the heuristics to 10⁴–10⁵-task DAGs.
 //!

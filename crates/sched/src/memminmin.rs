@@ -5,12 +5,19 @@
 //! the memory-aware earliest finish time of each of them on both memories,
 //! and commits the task/memory pair with the globally smallest EFT. It fails
 //! when no ready task fits in either memory.
+//!
+//! Each selection step is [`EstCache::min_eft_choice`]: the ready list is
+//! scanned in task-id order with the exact comparison of
+//! [`PartialSchedule::best_ready_choice`], but a side whose cached
+//! evaluation is current is not recomputed, and a stale side is skipped
+//! outright when an exact lower bound on its EFT already loses to the best
+//! candidate so far. The chosen placements are those of the uncached scan.
 
 use crate::error::ScheduleError;
 use crate::incremental::EstCache;
 use crate::partial::{CommitEffects, PartialSchedule};
 use crate::traits::Scheduler;
-use mals_dag::{TaskGraph, TaskId};
+use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sim::Schedule;
 use mals_util::CancelSignal;
@@ -31,12 +38,9 @@ impl MemMinMin {
     /// trips, which is what [`Scheduler::schedule`] passes.
     ///
     /// The loop is incremental: per-memory evaluations are cached in an
-    /// exact [`EstCache`] and only the sides a commit actually touched are
-    /// re-evaluated — after a same-memory placement with no cross-memory
-    /// transfer, the whole ready list keeps its other-memory evaluations.
-    /// The selection itself still scans the ready list in task-id order with
-    /// the exact comparison of [`PartialSchedule::best_ready_choice`], so
-    /// the chosen placements are unchanged.
+    /// exact [`EstCache`], stale sides that provably cannot win are not
+    /// evaluated at all (see the module docs), and every commit updates the
+    /// memory profiles in one batch.
     pub fn schedule_with_cancel(
         &self,
         graph: &TaskGraph,
@@ -46,10 +50,8 @@ impl MemMinMin {
         graph.validate()?;
         let mut partial = PartialSchedule::new(graph, platform);
         let mut cache = EstCache::new(graph.n_tasks());
-        // Per-schedule scratch (the allocation-free commit path): the ready
-        // snapshot and the commit record are refilled in place every step,
-        // so steady state allocates nothing per commit.
-        let mut ready: Vec<TaskId> = Vec::new();
+        // One commit record per schedule: `newly_ready` is refilled in
+        // place, so steady state allocates nothing per commit.
         let mut effects = CommitEffects::empty();
         while !partial.is_complete() {
             if cancel.is_cancelled() {
@@ -58,17 +60,7 @@ impl MemMinMin {
                     total: graph.n_tasks(),
                 });
             }
-            ready.clear();
-            ready.extend(partial.ready_iter());
-            let mut best = None;
-            for &task in &ready {
-                if let Some(breakdown) = cache.best(&partial, task, false) {
-                    if PartialSchedule::is_better_choice(&best, task, &breakdown) {
-                        best = Some((task, breakdown));
-                    }
-                }
-            }
-            match best {
+            match cache.min_eft_choice(&partial) {
                 Some((task, breakdown)) => {
                     partial.commit_into(task, &breakdown, &mut effects);
                     cache.apply(&effects);

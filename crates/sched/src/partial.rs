@@ -388,6 +388,39 @@ impl<'a> PartialSchedule<'a> {
         }
     }
 
+    /// `true` when no EFT of at least `lower_bound` can win
+    /// [`PartialSchedule::is_better_choice`] for `task` against `best`, so a
+    /// MemMinMin scan may skip evaluating a side whose EFT is known to be at
+    /// least `lower_bound`. Covers both branches of the ordering:
+    ///
+    /// * *strictly smaller*: `lower_bound ≥ best − EPSILON` rules it out for
+    ///   every larger EFT, with the very float expression the ordering uses;
+    /// * *near-tie, smaller id*: only a task with a smaller id than the best
+    ///   can win a tie, and for it `lower_bound` must clear the best EFT by
+    ///   twice the tolerance of [`mals_util::approx_eq`]. That margin makes
+    ///   the whole ray `[lower_bound, +∞)` provably outside the tolerance
+    ///   band, whatever the rounding inside `approx_eq`.
+    ///
+    /// With no best yet, anything wins, so nothing can be skipped.
+    pub(crate) fn cannot_beat(
+        best: &Option<(TaskId, EstBreakdown)>,
+        task: TaskId,
+        lower_bound: f64,
+    ) -> bool {
+        let Some((best_task, best_bd)) = best else {
+            return false;
+        };
+        let best_eft = best_bd.eft;
+        if lower_bound < best_eft - mals_util::EPSILON {
+            return false;
+        }
+        if task.index() > best_task.index() {
+            return true;
+        }
+        let scale = 1.0f64.max(lower_bound.abs()).max(best_eft.abs());
+        lower_bound - best_eft > 2.0 * mals_util::EPSILON * scale
+    }
+
     /// Commits the placement described by `breakdown` (obtained from
     /// [`PartialSchedule::evaluate`] on the *current* state): places the task
     /// on the best-fitting processor of the chosen memory, schedules its
@@ -411,6 +444,11 @@ impl<'a> PartialSchedule<'a> {
     /// `effects` is overwritten (its `newly_ready` vector cleared and
     /// refilled, reusing its capacity). The solver loops hold one effects
     /// record per schedule, so steady state commits allocate nothing.
+    ///
+    /// Every reservation and release of the commit (one or two per in-edge,
+    /// plus the outputs) runs inside one [`MemoryState::batch`]: each
+    /// mutation's values are applied at once, in the historical order, and
+    /// each profile repairs its extrema once when the commit ends.
     ///
     /// # Panics
     /// Panics if the task is not ready or the breakdown is stale (no
@@ -441,6 +479,8 @@ impl<'a> PartialSchedule<'a> {
             finish: eft,
         });
 
+        let mut profiles = self.mem.batch();
+
         // Incoming files.
         for &e in self.graph.in_edges(task) {
             let edge = self.graph.edge(e);
@@ -449,7 +489,7 @@ impl<'a> PartialSchedule<'a> {
             if parent_mem == mem {
                 // The file was reserved in `mem` when the parent was placed;
                 // it is consumed (discarded) when this task completes.
-                self.mem.release_from(mem, eft, edge.size);
+                profiles.release_from(mem, eft, edge.size);
             } else {
                 // Cross-memory transfer, scheduled as late as possible: it
                 // completes exactly at EST. The file occupies the destination
@@ -463,8 +503,8 @@ impl<'a> PartialSchedule<'a> {
                     start: transfer_start,
                     finish: est,
                 });
-                self.mem.reserve_range(mem, window_start, eft, edge.size);
-                self.mem.release_from(parent_mem, est, edge.size);
+                profiles.reserve_range(mem, window_start, eft, edge.size);
+                profiles.release_from(parent_mem, est, edge.size);
                 other_memory_touched |= edge.size != 0.0;
             }
         }
@@ -472,7 +512,8 @@ impl<'a> PartialSchedule<'a> {
         // Output files: resident in `mem` from the start of the task until
         // their consumers are scheduled (released by the consumers' commits).
         let outputs = self.graph.output_size(task);
-        self.mem.reserve_from(mem, est, outputs);
+        profiles.reserve_from(mem, est, outputs);
+        drop(profiles);
 
         // Bookkeeping.
         self.assigned_memory[task.index()] = Some(mem);
@@ -710,6 +751,133 @@ mod tests {
             Memory::Blue
         );
         assert_eq!(ps.evaluate_best_with(t, true).unwrap().memory, Memory::Red);
+    }
+
+    /// A placeholder breakdown carrying only an EFT (all the selection
+    /// ordering reads).
+    fn with_eft(eft: f64) -> EstBreakdown {
+        EstBreakdown {
+            memory: Memory::Blue,
+            resource: 0.0,
+            precedence: 0.0,
+            task_mem: 0.0,
+            comm_mem: 0.0,
+            comm_window: 0.0,
+            est: 0.0,
+            eft,
+        }
+    }
+
+    #[test]
+    fn cannot_beat_needs_a_best() {
+        let t = TaskId::from_index(3);
+        assert!(!PartialSchedule::cannot_beat(&None, t, f64::INFINITY));
+    }
+
+    #[test]
+    fn cannot_beat_covers_the_strictly_smaller_branch() {
+        let best = Some((TaskId::from_index(5), with_eft(10.0)));
+        for id in [3, 7] {
+            let t = TaskId::from_index(id);
+            // A bound clearly below the best may still win outright.
+            assert!(!PartialSchedule::cannot_beat(&best, t, 9.0));
+            // A bound well above it loses on either side of the id order.
+            assert!(PartialSchedule::cannot_beat(&best, t, 11.0));
+        }
+    }
+
+    #[test]
+    fn cannot_beat_a_bound_equal_to_the_best_eft() {
+        let best = Some((TaskId::from_index(5), with_eft(10.0)));
+        // A larger id cannot win a tie; a smaller id wins it.
+        assert!(PartialSchedule::cannot_beat(
+            &best,
+            TaskId::from_index(7),
+            10.0
+        ));
+        assert!(!PartialSchedule::cannot_beat(
+            &best,
+            TaskId::from_index(3),
+            10.0
+        ));
+        assert!(PartialSchedule::is_better_choice(
+            &best,
+            TaskId::from_index(3),
+            &with_eft(10.0)
+        ));
+    }
+
+    #[test]
+    fn cannot_beat_a_near_tie_within_epsilon() {
+        let best = Some((TaskId::from_index(5), with_eft(10.0)));
+        let near = 10.0 + 0.5 * mals_util::EPSILON;
+        let (smaller, larger) = (TaskId::from_index(3), TaskId::from_index(7));
+        assert!(PartialSchedule::is_better_choice(
+            &best,
+            smaller,
+            &with_eft(near)
+        ));
+        assert!(!PartialSchedule::cannot_beat(&best, smaller, near));
+        assert!(PartialSchedule::cannot_beat(&best, larger, near));
+        // Just below the best by less than the tolerance: still a tie.
+        let below = 10.0 - 0.5 * mals_util::EPSILON;
+        assert!(!PartialSchedule::cannot_beat(&best, smaller, below));
+        assert!(PartialSchedule::cannot_beat(&best, larger, below));
+    }
+
+    #[test]
+    fn cannot_beat_the_smaller_id_tie_branch() {
+        // approx_eq's tolerance at 10.0 is 10 · EPSILON (relative).
+        let best = Some((TaskId::from_index(5), with_eft(10.0)));
+        let smaller = TaskId::from_index(3);
+        // Inside the tolerance band: a tie the smaller id would win.
+        let inside = 10.0 + 5.0 * mals_util::EPSILON;
+        assert!(PartialSchedule::is_better_choice(
+            &best,
+            smaller,
+            &with_eft(inside)
+        ));
+        assert!(!PartialSchedule::cannot_beat(&best, smaller, inside));
+        // Between one and two tolerances: no tie, but inside the safety
+        // margin, so the predicate stays conservative.
+        let margin = 10.0 + 15.0 * mals_util::EPSILON;
+        assert!(!PartialSchedule::is_better_choice(
+            &best,
+            smaller,
+            &with_eft(margin)
+        ));
+        assert!(!PartialSchedule::cannot_beat(&best, smaller, margin));
+        // Past twice the tolerance: provably out of the band.
+        let past = 10.0 + 25.0 * mals_util::EPSILON;
+        assert!(PartialSchedule::cannot_beat(&best, smaller, past));
+        // An infinite bound is approx-equal to everything, so it is never
+        // pruned on the tie branch.
+        assert!(!PartialSchedule::cannot_beat(&best, smaller, f64::INFINITY));
+    }
+
+    #[test]
+    fn cannot_beat_implies_no_larger_eft_wins() {
+        // Whenever the predicate prunes, no EFT at or above the bound wins
+        // the ordering, across magnitudes from below 1 to 10⁹.
+        let mut rng = mals_util::Pcg64::new(5);
+        for _ in 0..20_000 {
+            let scale = 10f64.powi((rng.next_u64() % 10) as i32 - 1);
+            let best_eft = scale * (1.0 + (rng.next_u64() % 1000) as f64 / 100.0);
+            let best_task = TaskId::from_index((rng.next_u64() % 8) as usize);
+            let task = TaskId::from_index((rng.next_u64() % 8) as usize);
+            let offset = ((rng.next_u64() % 200) as f64 - 50.0) * mals_util::EPSILON;
+            let bound = best_eft + offset * best_eft.max(1.0);
+            let best = Some((best_task, with_eft(best_eft)));
+            if PartialSchedule::cannot_beat(&best, task, bound) {
+                for k in [0.0, 1e-12, 1e-9, 1e-6, 1.0] {
+                    let eft = bound + k * bound.max(1.0);
+                    assert!(
+                        !PartialSchedule::is_better_choice(&best, task, &with_eft(eft)),
+                        "pruned bound {bound} but EFT {eft} beats {best_eft}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

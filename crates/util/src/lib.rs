@@ -52,6 +52,6 @@ pub use frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 pub use json::{IoSink, Json, JsonError, JsonWriter};
 pub use pool::{parallel_map, parallel_map_indexed, ParallelConfig, WorkerPool};
 pub use rng::Pcg64;
-pub use staircase::Staircase;
+pub use staircase::{Staircase, StaircaseBatch};
 pub use stats::{OnlineStats, Summary};
 pub use streaming::QuantileSketch;
