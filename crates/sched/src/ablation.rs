@@ -8,7 +8,7 @@
 //! `schedule --solver` run can quantify their impact.
 
 use crate::error::ScheduleError;
-use crate::memheft::schedule_with_priority;
+use crate::list::{self, ListHeuristic};
 use crate::traits::Scheduler;
 use mals_dag::{rank, TaskGraph, TaskId};
 use mals_platform::Platform;
@@ -108,14 +108,17 @@ impl Scheduler for MemHeftVariant {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        let order = self.priority_list(graph);
-        schedule_with_priority(
-            graph,
-            platform,
-            &order,
-            self.memory_preference == MemoryPreference::Red,
-            CancelSignal::default(),
-        )
+        list::run(self, graph, platform, CancelSignal::default())
+    }
+}
+
+impl ListHeuristic for MemHeftVariant {
+    fn priority(&self, graph: &TaskGraph) -> Option<Vec<TaskId>> {
+        Some(self.priority_list(graph))
+    }
+
+    fn prefer_red(&self) -> bool {
+        self.memory_preference == MemoryPreference::Red
     }
 }
 

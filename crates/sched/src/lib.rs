@@ -21,20 +21,24 @@
 //! maintains the partial schedule, evaluates the four components of the
 //! earliest start time of a task on a memory (`resource`, `precedence`,
 //! `task_mem`, `comm_mem`; Section 5.1 of the paper) and commits placements
-//! together with their late-as-possible cross-memory transfers. The
-//! selection loops are incremental: `commit` maintains the ready frontier
-//! and reports what it changed ([`CommitEffects`]), and an exact
-//! epoch-based evaluation cache ([`incremental::EstCache`]) skips every
-//! re-evaluation whose inputs no commit touched, and, in MemMinMin, every
-//! stale one an exact lower bound shows cannot win. Each commit repairs the
-//! memory profiles' extrema once, through one mutation batch. Schedules are
-//! bit-identical to the scan-everything engines at a fraction of the work,
-//! which is what scales the heuristics to 10⁴–10⁵-task DAGs.
+//! together with their late-as-possible cross-memory transfers. One
+//! list-scheduling selection core drives it for every heuristic: MemHEFT,
+//! its ablation variants and MemMinMin only hand it a selection rule (first
+//! feasible task in priority order, or smallest EFT), a priority list and a
+//! memory tie-break. The core is incremental: `commit` maintains the ready
+//! frontier and reports what it changed ([`CommitEffects`]), an exact
+//! epoch-based evaluation cache skips every re-evaluation whose inputs no
+//! commit touched, and the smallest-EFT scan skips every stale one an exact
+//! lower bound shows cannot win. Each commit repairs the memory profiles'
+//! extrema once, through one mutation batch. Schedules are bit-identical to
+//! the scan-everything engines at a fraction of the work, which is what
+//! scales the heuristics to 10⁴–10⁵-task DAGs.
 //!
 //! The **online layer** ([`online`]) replays an arrival timeline
 //! (`mals_gen::ArrivalTrace`) through an event-driven simulator on a virtual
-//! clock and re-plans the unscheduled suffix with the same incremental
-//! machinery — releasing the whole DAG at `t = 0` reproduces the static
+//! clock. It admits tasks to the same selection core as they arrive and
+//! re-plans the unscheduled suffix with every evaluation floored at the
+//! virtual now — releasing the whole DAG at `t = 0` reproduces the static
 //! solvers bit for bit, which is the subsystem's built-in oracle.
 //!
 //! On top of the concrete schedulers sits the unified **engine layer**:
@@ -74,7 +78,8 @@
 pub mod ablation;
 pub mod engine;
 pub mod error;
-pub mod incremental;
+mod incremental;
+mod list;
 pub mod memheft;
 pub mod memminmin;
 pub mod online;
@@ -88,7 +93,6 @@ pub mod unbounded;
 pub use ablation::{MemHeftVariant, MemoryPreference, PriorityScheme, TieBreak};
 pub use engine::{Engine, EngineConfig, EngineError};
 pub use error::ScheduleError;
-pub use incremental::EstCache;
 pub use memheft::MemHeft;
 pub use memminmin::MemMinMin;
 pub use online::{replay, OnlineConfig, OnlineFlavor, OnlineOutcome, OnlineSolver, ReplanPolicy};

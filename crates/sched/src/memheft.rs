@@ -14,15 +14,17 @@
 //! on both sides), MemHEFT moves down the priority list and tries the next
 //! task; it fails — "the graph cannot be processed within the memory
 //! bounds" — only when no remaining task can be placed.
+//!
+//! [`MemHeft`] is the priority rule of the list-scheduling core
+//! (`crate::list`) on the upward-rank list.
 
 use crate::error::ScheduleError;
-use crate::incremental::EstCache;
-use crate::partial::{CommitEffects, PartialSchedule};
+use crate::list::{self, ListHeuristic};
 use crate::traits::Scheduler;
 use mals_dag::{rank, TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{CancelSignal, ChunkedIndexSet};
+use mals_util::CancelSignal;
 
 /// The MemHEFT scheduler (Algorithm 1 of the paper).
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,89 +37,10 @@ impl MemHeft {
     }
 }
 
-/// The MemHEFT-family selection loop on an externally supplied priority
-/// list: scan `order` from the front, commit the first task that is both
-/// ready and memory-feasible, restart. This entry point is shared with the
-/// ablation variants (`mals_sched::ablation`), which only change how the
-/// priority list is built; `prefer_red` flips the memory chosen on exact
-/// EFT ties.
-///
-/// `order` must contain every task exactly once.
-///
-/// The loop is incremental: the ready candidates are kept in a
-/// priority-position-ordered set maintained by [`PartialSchedule::commit`]
-/// instead of being rediscovered by an `O(n)` scan of the whole priority
-/// list at every step, and every EST evaluation goes through an exact
-/// [`EstCache`] that survives commits which did not touch the state the
-/// evaluation read. The committed task is still, at every step, the first
-/// ready task in priority order whose evaluation is feasible — the cache
-/// returns the same bits a fresh evaluation would — so the schedule is
-/// unchanged from the scan-everything engine.
-///
-/// `cancel` is polled once per committed task: when it trips, the loop
-/// returns [`ScheduleError::Cancelled`] without committing anything further
-/// (partial placements are discarded — a prefix of a schedule is not a
-/// schedule). [`CancelSignal::default`] never trips.
-pub fn schedule_with_priority(
-    graph: &TaskGraph,
-    platform: &Platform,
-    order: &[TaskId],
-    prefer_red: bool,
-    cancel: CancelSignal<'_>,
-) -> Result<Schedule, ScheduleError> {
-    graph.validate()?;
-    debug_assert_eq!(
-        order.len(),
-        graph.n_tasks(),
-        "priority list must cover every task"
-    );
-    let mut position_of = vec![u32::MAX; graph.n_tasks()];
-    for (position, &task) in order.iter().enumerate() {
-        position_of[task.index()] = position as u32;
+impl ListHeuristic for MemHeft {
+    fn priority(&self, graph: &TaskGraph) -> Option<Vec<TaskId>> {
+        Some(rank::rank_sorted_tasks(graph))
     }
-    let mut partial = PartialSchedule::new(graph, platform);
-    // The ready candidates, keyed by priority-list position (chunked storage
-    // for the same reason `PartialSchedule` uses it: at 10⁵ tasks the
-    // frontier holds thousands of candidates, past the point where a flat
-    // vector's insert memmove dominates).
-    let mut positions: Vec<u32> = partial
-        .ready_iter()
-        .map(|task| position_of[task.index()])
-        .collect();
-    positions.sort_unstable();
-    let mut ready = ChunkedIndexSet::from_sorted(positions);
-    let mut cache = EstCache::new(graph.n_tasks());
-    // The commit record, reused every step so steady state allocates
-    // nothing per commit.
-    let mut effects = CommitEffects::empty();
-
-    while !partial.is_complete() {
-        if cancel.is_cancelled() {
-            return Err(ScheduleError::Cancelled {
-                scheduled: partial.n_scheduled(),
-                total: graph.n_tasks(),
-            });
-        }
-        // Scan the ready candidates in priority order; the cache skips
-        // every evaluation whose inputs no commit touched.
-        let chosen = ready.iter().find_map(|position| {
-            let task = order[position as usize];
-            cache
-                .best(&partial, task, prefer_red)
-                .map(|breakdown| (position, task, breakdown))
-        });
-        // No ready task fits in either memory, now or ever.
-        let Some((position, task, breakdown)) = chosen else {
-            return partial.finish_or_error();
-        };
-        partial.commit_into(task, &breakdown, &mut effects);
-        ready.remove(position);
-        for &child in &effects.newly_ready {
-            ready.insert(position_of[child.index()]);
-        }
-        cache.apply(&effects);
-    }
-    partial.finish_or_error()
 }
 
 impl Scheduler for MemHeft {
@@ -126,8 +49,7 @@ impl Scheduler for MemHeft {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        let order = rank::rank_sorted_tasks(graph);
-        schedule_with_priority(graph, platform, &order, false, CancelSignal::default())
+        list::run(self, graph, platform, CancelSignal::default())
     }
 }
 
@@ -226,10 +148,10 @@ mod tests {
         let b = g.add_task("b", 1.0, 1.0);
         g.add_edge(a, b, 1.0, 1.0).unwrap();
         g.add_edge(b, a, 1.0, 1.0).unwrap();
-        let platform = Platform::default();
-        // The rank computation itself requires acyclicity, so go through the
-        // priority-list entry point with an arbitrary order.
-        let err = schedule_with_priority(&g, &platform, &[a, b], false, CancelSignal::default())
+        // Validation comes before the rank computation, which requires
+        // acyclicity.
+        let err = MemHeft::new()
+            .schedule(&g, &Platform::default())
             .unwrap_err();
         assert!(matches!(err, ScheduleError::InvalidGraph(_)));
     }

@@ -6,18 +6,15 @@
 //! and commits the task/memory pair with the globally smallest EFT. It fails
 //! when no ready task fits in either memory.
 //!
-//! Each selection step is [`EstCache::min_eft_choice`]: the ready list is
-//! scanned in task-id order with the exact comparison of
-//! [`PartialSchedule::best_ready_choice`], but a side whose cached
-//! evaluation is current is not recomputed, and a stale side is skipped
-//! outright when an exact lower bound on its EFT already loses to the best
-//! candidate so far. The chosen placements are those of the uncached scan.
+//! [`MemMinMin`] is the smallest-EFT rule of the list-scheduling core
+//! (`crate::list`), which skips every re-evaluation an exact cache or an
+//! exact lower bound shows cannot change the step: the chosen placements
+//! are those of the uncached scan.
 
 use crate::error::ScheduleError;
-use crate::incremental::EstCache;
-use crate::partial::{CommitEffects, PartialSchedule};
+use crate::list::{self, ListHeuristic};
 use crate::traits::Scheduler;
-use mals_dag::TaskGraph;
+use mals_dag::{TaskGraph, TaskId};
 use mals_platform::Platform;
 use mals_sim::Schedule;
 use mals_util::CancelSignal;
@@ -31,44 +28,11 @@ impl MemMinMin {
     pub fn new() -> Self {
         MemMinMin
     }
+}
 
-    /// Runs the selection loop, polling `cancel` once per committed task:
-    /// when it trips, the loop returns [`ScheduleError::Cancelled`] instead
-    /// of committing anything further. [`CancelSignal::default`] never
-    /// trips, which is what [`Scheduler::schedule`] passes.
-    ///
-    /// The loop is incremental: per-memory evaluations are cached in an
-    /// exact [`EstCache`], stale sides that provably cannot win are not
-    /// evaluated at all (see the module docs), and every commit updates the
-    /// memory profiles in one batch.
-    pub fn schedule_with_cancel(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        cancel: CancelSignal<'_>,
-    ) -> Result<Schedule, ScheduleError> {
-        graph.validate()?;
-        let mut partial = PartialSchedule::new(graph, platform);
-        let mut cache = EstCache::new(graph.n_tasks());
-        // One commit record per schedule: `newly_ready` is refilled in
-        // place, so steady state allocates nothing per commit.
-        let mut effects = CommitEffects::empty();
-        while !partial.is_complete() {
-            if cancel.is_cancelled() {
-                return Err(ScheduleError::Cancelled {
-                    scheduled: partial.n_scheduled(),
-                    total: graph.n_tasks(),
-                });
-            }
-            match cache.min_eft_choice(&partial) {
-                Some((task, breakdown)) => {
-                    partial.commit_into(task, &breakdown, &mut effects);
-                    cache.apply(&effects);
-                }
-                None => return partial.finish_or_error(),
-            }
-        }
-        partial.finish_or_error()
+impl ListHeuristic for MemMinMin {
+    fn priority(&self, _graph: &TaskGraph) -> Option<Vec<TaskId>> {
+        None
     }
 }
 
@@ -78,13 +42,14 @@ impl Scheduler for MemMinMin {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        self.schedule_with_cancel(graph, platform, CancelSignal::default())
+        list::run(self, graph, platform, CancelSignal::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partial::PartialSchedule;
     use mals_gen::{dex, DaggenParams, WeightRanges};
     use mals_sim::validate;
     use mals_util::Pcg64;

@@ -24,30 +24,26 @@
 //!   current window).
 //!
 //! A *re-plan* greedily commits candidates — MemHEFT order or MemMinMin
-//! order, per [`OnlineFlavor`] — through the same incremental machinery as
-//! the static solvers ([`PartialSchedule`], [`EstCache`]), with one twist:
-//! every evaluation is **floored at the virtual now** (`est' = max(est,
-//! now)`, `eft' = est' + work`) because the online scheduler cannot start a
-//! task in its past. Flooring is safe — memory fits are sustained-forever
-//! and processor availability and precedence are monotone, so a later start
-//! is always still valid — and it is a no-op at `t = 0`, which yields the
-//! static-equivalence oracle: a trace releasing the whole DAG at `t = 0`
-//! with [`ReplanPolicy::EveryArrival`] reproduces the static solver's
-//! schedule bit for bit.
+//! order, per [`OnlineFlavor`] — through the list-scheduling core of the
+//! static solvers (`crate::list`), which admits each task when it arrives
+//! and floors every evaluation at the virtual now (`est' = max(est, now)`),
+//! because the online scheduler cannot start a task in its past. Flooring is
+//! a no-op at `t = 0`, which yields the static-equivalence oracle: a trace
+//! releasing the whole DAG at `t = 0` with [`ReplanPolicy::EveryArrival`]
+//! reproduces the static solver's schedule bit for bit.
 //!
 //! The committed prefix is immutable by construction: a commit only ever
-//! appends to the [`PartialSchedule`], and re-plans only look at
-//! uncommitted candidates.
+//! appends to the [`PartialSchedule`](crate::PartialSchedule), and re-plans
+//! only look at uncommitted candidates.
 
 use crate::error::ScheduleError;
-use crate::incremental::EstCache;
-use crate::partial::{CommitEffects, EstBreakdown, PartialSchedule};
+use crate::list::{ListCore, Rule};
 use crate::solver::{OptimalityStatus, SolveCtx, SolveOutcome, Solver};
 use mals_dag::{algo::topological_order, TaskGraph, TaskId};
 use mals_gen::ArrivalTrace;
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{ChunkedIndexSet, F64Ord, VirtualClock};
+use mals_util::{F64Ord, VirtualClock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -260,19 +256,16 @@ pub fn replay(
     Replayer::new(graph, platform, trace, config).run(ctx)
 }
 
-/// The mutable state of one replay (see the module docs).
+/// The mutable state of one replay (see the module docs): the event queue,
+/// the arrivals and the rank refresh around the selection core.
 struct Replayer<'a> {
     graph: &'a TaskGraph,
     trace: &'a ArrivalTrace,
     config: OnlineConfig,
-    partial: PartialSchedule<'a>,
-    cache: EstCache,
+    /// The schedule, the cache and the admitted candidates; a task is
+    /// admitted when it arrives.
+    core: ListCore<'a>,
     clock: VirtualClock,
-    /// `arrived[t]`: task `t` has been released by the trace.
-    arrived: Vec<bool>,
-    /// Task ids that are arrived, ready and uncommitted — the set re-plans
-    /// choose from.
-    candidates: ChunkedIndexSet,
     /// A topological order of the full graph, computed once; the arrived-
     /// subgraph rank walk visits it in reverse, skipping unarrived tasks.
     full_topo: Vec<TaskId>,
@@ -282,20 +275,8 @@ struct Replayer<'a> {
     rank: Vec<f64>,
     /// Arrived tasks in priority order (MemHEFT flavor).
     order: Vec<TaskId>,
-    /// `position_of[t]`: index of task `t` in `order` (valid for arrived
-    /// tasks since the last refresh).
-    position_of: Vec<u32>,
-    /// Candidate tasks keyed by priority position (MemHEFT flavor); rebuilt
-    /// at each refresh, maintained incrementally between refreshes.
-    ready_positions: ChunkedIndexSet,
-    // Per-replay scratch, reused so steady-state passes allocate nothing.
-    ready_buf: Vec<TaskId>,
-    effects: CommitEffects,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
     seq: u64,
-    /// Earliest floored start among the candidates the horizon deferred in
-    /// the last selection pass.
-    deferred_min: Option<f64>,
     // Accounting.
     events: u64,
     arrivals: u64,
@@ -313,25 +294,21 @@ impl<'a> Replayer<'a> {
         config: OnlineConfig,
     ) -> Self {
         let n = graph.n_tasks();
+        let rule = match config.flavor {
+            OnlineFlavor::MemHeft => Rule::Priority,
+            OnlineFlavor::MemMinMin => Rule::MinEft,
+        };
         Replayer {
             graph,
             trace,
             config,
-            partial: PartialSchedule::new(graph, platform),
-            cache: EstCache::new(n),
+            core: ListCore::new(graph, platform, rule, false),
             clock: VirtualClock::new(),
-            arrived: vec![false; n],
-            candidates: ChunkedIndexSet::new(),
             full_topo: topological_order(graph).expect("graph validated before replay"),
             rank: vec![0.0; n],
             order: Vec::with_capacity(n),
-            position_of: vec![u32::MAX; n],
-            ready_positions: ChunkedIndexSet::new(),
-            ready_buf: Vec::new(),
-            effects: CommitEffects::empty(),
             queue: BinaryHeap::new(),
             seq: 0,
-            deferred_min: None,
             events: 0,
             arrivals: 0,
             completions: 0,
@@ -372,7 +349,7 @@ impl<'a> Replayer<'a> {
                     _ => None,
                 };
                 self.drain(ctx, window)?;
-                if let Some(at) = self.deferred_min {
+                if let Some(at) = self.core.deferred_min() {
                     // The deferred start lies strictly beyond `now + window`,
                     // so the re-plan event is strictly in the future and the
                     // loop makes progress.
@@ -386,7 +363,7 @@ impl<'a> Replayer<'a> {
         // the outcome — including Infeasible counts — matches the static
         // solver.
         self.drain(ctx, None)?;
-        let schedule = self.partial.finish_or_error()?;
+        let schedule = self.core.finish()?;
         let makespan = schedule.makespan();
         Ok(OnlineOutcome {
             schedule,
@@ -401,22 +378,17 @@ impl<'a> Replayer<'a> {
         })
     }
 
-    /// Marks the tasks of trace event `i` as arrived and admits the ready
-    /// ones to the candidate set; the MemHEFT flavor re-derives its
-    /// priority order over the enlarged arrived subgraph.
+    /// Admits the tasks of trace event `i`; the MemHEFT flavor re-derives
+    /// its priority order over the enlarged arrived subgraph.
     fn admit(&mut self, i: usize) {
-        for &task in &self.trace.events()[i].tasks {
-            self.arrived[task.index()] = true;
-            if self.partial.is_ready(task) {
-                self.candidates.insert(task.index() as u32);
-            }
-        }
+        self.core
+            .admit(self.trace.events()[i].tasks.iter().copied());
         if self.config.flavor == OnlineFlavor::MemHeft {
             self.refresh_priorities();
         }
     }
 
-    /// Recomputes upward ranks over the arrived subgraph and rebuilds the
+    /// Recomputes upward ranks over the arrived subgraph and re-sorts the
     /// priority order. The walk mirrors `mals_dag::rank::upward_ranks`
     /// operation for operation (same reverse-topological visit sequence,
     /// same float fold, same sort comparator) restricted to arrived tasks,
@@ -424,16 +396,16 @@ impl<'a> Replayer<'a> {
     /// `rank_sorted_tasks(graph)` bit for bit.
     fn refresh_priorities(&mut self) {
         let graph = self.graph;
-        let arrived = &self.arrived;
+        let core = &self.core;
         let rank = &mut self.rank;
         for &t in self.full_topo.iter().rev() {
-            if !arrived[t.index()] {
+            if !core.is_admitted(t) {
                 continue;
             }
             let mut best_child = 0.0f64;
             for &e in graph.out_edges(t) {
                 let edge = graph.edge(e);
-                if !arrived[edge.dst.index()] {
+                if !core.is_admitted(edge.dst) {
                     continue;
                 }
                 let cand = rank[edge.dst.index()] + edge.comm_cost / 2.0;
@@ -445,24 +417,14 @@ impl<'a> Replayer<'a> {
         }
         self.order.clear();
         self.order
-            .extend(graph.task_ids().filter(|t| arrived[t.index()]));
+            .extend(graph.task_ids().filter(|&t| core.is_admitted(t)));
         let rank = &self.rank;
         self.order.sort_by(|&a, &b| {
             rank[b.index()]
                 .total_cmp(&rank[a.index()])
                 .then_with(|| a.index().cmp(&b.index()))
         });
-        for (position, &task) in self.order.iter().enumerate() {
-            self.position_of[task.index()] = position as u32;
-        }
-        let position_of = &self.position_of;
-        let mut positions: Vec<u32> = self
-            .candidates
-            .iter()
-            .map(|id| position_of[id as usize])
-            .collect();
-        positions.sort_unstable();
-        self.ready_positions = ChunkedIndexSet::from_sorted(positions);
+        self.core.reorder(&self.order);
     }
 
     /// One re-plan pass: greedily commits candidates until none is feasible
@@ -471,24 +433,16 @@ impl<'a> Replayer<'a> {
     fn drain(&mut self, ctx: &SolveCtx, window: Option<f64>) -> Result<(), ScheduleError> {
         let started = Instant::now();
         self.replans += 1;
+        let now = self.clock.now_secs();
         loop {
             if ctx.is_cancelled() {
-                return Err(ScheduleError::Cancelled {
-                    scheduled: self.partial.n_scheduled(),
-                    total: self.graph.n_tasks(),
-                });
+                return Err(self.core.cancelled());
             }
-            // The last (non-committing) pass leaves the definitive set of
-            // horizon-deferred starts.
-            self.deferred_min = None;
-            let chosen = match self.config.flavor {
-                OnlineFlavor::MemMinMin => self.select_min_eft(window),
-                OnlineFlavor::MemHeft => self.select_priority(window),
-            };
-            let Some((task, breakdown)) = chosen else {
+            let Some((task, breakdown)) = self.core.select(now, window) else {
                 break;
             };
-            self.commit(task, &breakdown);
+            self.core.commit(task, &breakdown);
+            self.push(breakdown.eft, RANK_COMPLETION, Payload::Completion);
         }
         let elapsed = started.elapsed();
         self.replan_total += elapsed;
@@ -496,114 +450,6 @@ impl<'a> Replayer<'a> {
             self.replan_max = elapsed;
         }
         Ok(())
-    }
-
-    /// Floors an evaluation pair at the virtual `now`: the online scheduler
-    /// cannot start a task in its past, so `est' = max(est, now)` and the
-    /// EFT is recomputed with the same `est + work` formula the evaluator
-    /// uses. At `now = 0` every pair is returned untouched (raw ESTs are
-    /// never negative), which is what makes the `t = 0` replay bit-identical
-    /// to the static solvers.
-    fn floored(
-        graph: &TaskGraph,
-        task: TaskId,
-        pair: [Option<EstBreakdown>; 2],
-        now: f64,
-    ) -> [Option<EstBreakdown>; 2] {
-        pair.map(|side| {
-            side.map(|bd| {
-                if bd.est >= now {
-                    bd
-                } else {
-                    EstBreakdown {
-                        est: now,
-                        eft: now + graph.task(task).work_on(bd.memory.is_blue()),
-                        ..bd
-                    }
-                }
-            })
-        })
-    }
-
-    /// MemMinMin selection: the candidate with the globally smallest
-    /// floored EFT (same comparison as the static loop). Beyond-window
-    /// candidates are recorded as deferred instead of competing.
-    fn select_min_eft(&mut self, window: Option<f64>) -> Option<(TaskId, EstBreakdown)> {
-        let now = self.clock.now_secs();
-        self.ready_buf.clear();
-        self.ready_buf.extend(
-            self.candidates
-                .iter()
-                .map(|id| TaskId::from_index(id as usize)),
-        );
-        let mut best: Option<(TaskId, EstBreakdown)> = None;
-        for i in 0..self.ready_buf.len() {
-            let task = self.ready_buf[i];
-            let raw = self.cache.pair(&self.partial, task);
-            let pair = Self::floored(self.graph, task, raw, now);
-            if let Some(bd) = PartialSchedule::combine_pair(pair, false) {
-                if window.is_some_and(|limit| bd.est > limit) {
-                    self.note_deferred(bd.est);
-                } else if PartialSchedule::is_better_choice(&best, task, &bd) {
-                    best = Some((task, bd));
-                }
-            }
-        }
-        best
-    }
-
-    /// MemHEFT selection: the first candidate in priority order whose
-    /// floored evaluation is feasible (and starts inside the window, when
-    /// one applies) — the same "move down the list" rule as the static
-    /// engine.
-    fn select_priority(&mut self, window: Option<f64>) -> Option<(TaskId, EstBreakdown)> {
-        let now = self.clock.now_secs();
-        self.ready_buf.clear();
-        let order = &self.order;
-        self.ready_buf
-            .extend(self.ready_positions.iter().map(|p| order[p as usize]));
-        for i in 0..self.ready_buf.len() {
-            let task = self.ready_buf[i];
-            let raw = self.cache.pair(&self.partial, task);
-            let pair = Self::floored(self.graph, task, raw, now);
-            if let Some(bd) = PartialSchedule::combine_pair(pair, false) {
-                if window.is_some_and(|limit| bd.est > limit) {
-                    self.note_deferred(bd.est);
-                } else {
-                    return Some((task, bd));
-                }
-            }
-        }
-        None
-    }
-
-    fn note_deferred(&mut self, est: f64) {
-        self.deferred_min = Some(match self.deferred_min {
-            Some(d) => d.min(est),
-            None => est,
-        });
-    }
-
-    /// Commits one placement and maintains the candidate sets, the cache
-    /// epochs and the completion timeline.
-    fn commit(&mut self, task: TaskId, breakdown: &EstBreakdown) {
-        let mut effects = std::mem::take(&mut self.effects);
-        self.partial.commit_into(task, breakdown, &mut effects);
-        self.candidates.remove(task.index() as u32);
-        if self.config.flavor == OnlineFlavor::MemHeft {
-            self.ready_positions.remove(self.position_of[task.index()]);
-        }
-        for &child in &effects.newly_ready {
-            if self.arrived[child.index()] {
-                self.candidates.insert(child.index() as u32);
-                if self.config.flavor == OnlineFlavor::MemHeft {
-                    self.ready_positions.insert(self.position_of[child.index()]);
-                }
-            }
-        }
-        self.cache.apply(&effects);
-        self.effects = effects;
-        self.push(breakdown.eft, RANK_COMPLETION, Payload::Completion);
     }
 
     fn push(&mut self, at: f64, rank: u8, payload: Payload) {
@@ -679,10 +525,13 @@ mod tests {
     use super::*;
     use crate::memheft::MemHeft;
     use crate::memminmin::MemMinMin;
+    use crate::partial::{EstBreakdown, PartialSchedule};
     use crate::traits::Scheduler;
+    use crate::Heft;
     use mals_gen::{dex, ArrivalProcess, DaggenParams, WeightRanges};
     use mals_sim::validate;
     use mals_util::Pcg64;
+    use std::cell::Cell;
 
     fn sample_graph(seed: u64) -> TaskGraph {
         let mut rng = Pcg64::new(seed);
@@ -903,5 +752,92 @@ mod tests {
         assert!(outcome.replan_mean_secs() >= 0.0);
         assert!(outcome.virtual_end > 0.0);
         assert!(outcome.makespan > 0.0);
+    }
+
+    thread_local! {
+        /// Selections audited at `now > 0`, and the candidate sides they
+        /// left stale (skipped by the bound).
+        static AUDITED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// The unpruned, uncached min-EFT scan over the admitted ready tasks,
+    /// every side evaluated afresh and floored at `now`.
+    fn floored_scan(
+        partial: &PartialSchedule<'_>,
+        admitted: impl Fn(TaskId) -> bool,
+        now: f64,
+    ) -> Option<(TaskId, EstBreakdown)> {
+        let mut best = None;
+        for task in partial.ready_iter().filter(|&t| admitted(t)) {
+            let pair = partial.evaluate_pair(task).map(|side| {
+                side.map(|bd| {
+                    if bd.est >= now {
+                        bd
+                    } else {
+                        let work = partial.graph().task(task).work_on(bd.memory.is_blue());
+                        EstBreakdown {
+                            est: now,
+                            eft: now + work,
+                            ..bd
+                        }
+                    }
+                })
+            });
+            if let Some(bd) = PartialSchedule::combine_pair(pair, false) {
+                if PartialSchedule::is_better_choice(&best, task, &bd) {
+                    best = Some((task, bd));
+                }
+            }
+        }
+        best
+    }
+
+    fn audit_min_eft(core: &ListCore<'_>, now: f64, chosen: Option<(TaskId, EstBreakdown)>) {
+        let expected = floored_scan(core.partial(), |t| core.is_admitted(t), now);
+        assert_eq!(chosen, expected, "pruned selection diverged at now = {now}");
+        if now > 0.0 {
+            AUDITED.with(|audited| {
+                let (selections, skipped) = audited.get();
+                audited.set((selections + 1, skipped + core.stale_sides()));
+            });
+        }
+    }
+
+    #[test]
+    fn floored_pruning_matches_an_unpruned_scan_at_every_replan() {
+        // Online MemMinMin replays under Poisson arrivals, re-planning on
+        // every arrival and every third event, with memory bounds at α ×
+        // HEFT's peak: every selection the core makes must be the one an
+        // unpruned floored scan makes, and past t = 0 the bound must have
+        // skipped some side.
+        for seed in [1, 2] {
+            let mut rng = Pcg64::new(seed);
+            let g = mals_gen::daggen::generate(
+                &DaggenParams {
+                    size: 120,
+                    width: 0.5,
+                    density: 0.3,
+                    jumps: 3,
+                },
+                &WeightRanges::small_rand(),
+                &mut rng,
+            );
+            let unbounded = Platform::new(2, 2, f64::INFINITY, f64::INFINITY).unwrap();
+            let heft = Heft::new().schedule(&g, &unbounded).unwrap();
+            let peak = mals_sim::memory_peaks(&g, &unbounded, &heft).max();
+            let trace = ArrivalProcess::Poisson { rate: 10.0 }.generate(&g, seed);
+            for alpha in [0.5, 1.0] {
+                let platform = Platform::new(2, 2, alpha * peak, alpha * peak).unwrap();
+                for policy in [ReplanPolicy::EveryArrival, ReplanPolicy::EveryK(3)] {
+                    let config = OnlineConfig::new(OnlineFlavor::MemMinMin, policy);
+                    let mut replayer = Replayer::new(&g, &platform, &trace, config);
+                    replayer.core.audit = Some(audit_min_eft);
+                    replayer.run(&SolveCtx::sequential()).unwrap();
+                }
+            }
+        }
+        let (selections, skipped) = AUDITED.with(Cell::get);
+        assert!(selections > 0, "no selection was made past t = 0");
+        assert!(skipped > 0, "the bound never skipped a side past t = 0");
     }
 }

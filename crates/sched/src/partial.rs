@@ -63,7 +63,7 @@ pub struct EstBreakdown {
 /// * which tasks became ready (their cached evaluations cannot exist yet —
 ///   a task is evaluated only once ready, and it was not ready before).
 ///
-/// An EST cache keyed on these facts ([`crate::EstCache`]) is exact: an
+/// An EST cache keyed on these facts (the selection core's) is exact: an
 /// evaluation `evaluate(task, µ)` reads only `µ`'s processor/memory state and
 /// the placements of `task`'s (already committed) parents.
 #[derive(Debug, Clone)]

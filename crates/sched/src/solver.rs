@@ -19,11 +19,12 @@
 
 use crate::ablation::MemHeftVariant;
 use crate::error::ScheduleError;
-use crate::memheft::{schedule_with_priority, MemHeft};
+use crate::list;
+use crate::memheft::MemHeft;
 use crate::memminmin::MemMinMin;
 use crate::traits::Scheduler;
 use crate::unbounded::Unbounded;
-use mals_dag::{rank, TaskGraph};
+use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sim::Schedule;
 use mals_util::{CancelSignal, CancelToken, Deadline, WorkerPool};
@@ -316,15 +317,7 @@ impl Solver for MemHeft {
 
     /// MemHEFT, polling `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        // The rank computation itself requires acyclicity, so reject
-        // invalid graphs before building the priority list.
-        if let Err(e) = graph.validate() {
-            return SolveOutcome::from_heuristic(Err(e.into()));
-        }
-        let order = rank::rank_sorted_tasks(graph);
-        SolveOutcome::from_heuristic(schedule_with_priority(
-            graph, platform, &order, false, ctx.cancel,
-        ))
+        SolveOutcome::from_heuristic(list::run(self, graph, platform, ctx.cancel))
     }
 }
 
@@ -335,7 +328,7 @@ impl Solver for MemMinMin {
 
     /// MemMinMin, polling `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        SolveOutcome::from_heuristic(self.schedule_with_cancel(graph, platform, ctx.cancel))
+        SolveOutcome::from_heuristic(list::run(self, graph, platform, ctx.cancel))
     }
 }
 
@@ -344,20 +337,10 @@ impl Solver for MemHeftVariant {
         Scheduler::name(self)
     }
 
-    /// The variant's selection engine, polling `ctx.cancel` once per
-    /// committed task.
+    /// The variant's priority list on the list-scheduling core, polling
+    /// `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        if let Err(e) = graph.validate() {
-            return SolveOutcome::from_heuristic(Err(e.into()));
-        }
-        let order = self.priority_list(graph);
-        SolveOutcome::from_heuristic(schedule_with_priority(
-            graph,
-            platform,
-            &order,
-            self.memory_preference == crate::ablation::MemoryPreference::Red,
-            ctx.cancel,
-        ))
+        SolveOutcome::from_heuristic(list::run(self, graph, platform, ctx.cancel))
     }
 }
 

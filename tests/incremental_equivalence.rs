@@ -2,18 +2,22 @@
 //!
 //! PR 5 reworked the MemHEFT / MemMinMin / ablation selection loops around
 //! an incrementally maintained ready-set and an epoch-based EST cache
-//! (`mals_sched::EstCache`), and made the staircase queries indexed. None of
-//! that may change a single placement: this suite re-implements the
+//! (the crate-private `EstCache`), and made the staircase queries indexed.
+//! None of that may change a single placement: this suite re-implements the
 //! pre-refactor loops *verbatim* on the public `PartialSchedule` API —
 //! scan-everything, fresh evaluation at every step, no cache — and asserts
 //! that every production scheduler produces **bit-identical** schedules (and
 //! identical failures) across random DAGs and memory bounds from hopeless to
-//! ample.
+//! ample. The static solvers and the online replayer share one selection
+//! core, so the online registry solvers (a whole-DAG-at-`t = 0` replay) are
+//! held to the same loops here rather than only to the static solvers.
 
 use mals::dag::rank;
-use mals::gen::{DaggenParams, WeightRanges};
+use mals::gen::{ArrivalTrace, DaggenParams, WeightRanges};
 use mals::prelude::*;
-use mals::sched::{MemHeftVariant, MemoryPreference, PartialSchedule, PriorityScheme};
+use mals::sched::{
+    online, MemHeftVariant, MemoryPreference, OnlineSolver, PartialSchedule, PriorityScheme,
+};
 use mals::sim::memory_peaks;
 use proptest::prelude::*;
 
@@ -116,6 +120,32 @@ fn assert_matches_reference(
     );
 }
 
+/// The online registry solver's replay — the whole DAG released at `t = 0`,
+/// re-planned on every arrival — must equal the reference loop, failures
+/// included.
+fn assert_online_matches_reference(
+    solver: OnlineSolver,
+    reference: &Result<Schedule, String>,
+    graph: &TaskGraph,
+    platform: &Platform,
+) {
+    let trace = ArrivalTrace::at_once(graph.n_tasks());
+    let outcome = online::replay(
+        graph,
+        platform,
+        &trace,
+        solver.config(),
+        &SolveCtx::sequential(),
+    )
+    .map(|outcome| outcome.schedule)
+    .map_err(|e| e.to_string());
+    assert!(
+        outcome == *reference,
+        "{} diverged from the pre-refactor engine",
+        solver.name()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -134,6 +164,8 @@ proptest! {
             assert_matches_reference(&MemHeft::new(), &memheft_ref, &graph, &bounded);
             let memminmin_ref = reference_memminmin(&graph, &bounded);
             assert_matches_reference(&MemMinMin::new(), &memminmin_ref, &graph, &bounded);
+            assert_online_matches_reference(OnlineSolver::memheft(), &memheft_ref, &graph, &bounded);
+            assert_online_matches_reference(OnlineSolver::memminmin(), &memminmin_ref, &graph, &bounded);
         }
     }
 
@@ -184,7 +216,9 @@ fn large_rand_1000_tasks_matches_pre_refactor() {
         reference_priority_schedule(&graph, &bounded, &order, false).expect("feasible at 70%");
     let incremental = MemHeft::new().schedule(&graph, &bounded).unwrap();
     assert_eq!(reference, incremental, "n=1000 MemHEFT diverged");
+    assert_online_matches_reference(OnlineSolver::memheft(), &Ok(reference), &graph, &bounded);
     let reference = reference_memminmin(&graph, &bounded).expect("feasible at 70%");
     let incremental = MemMinMin::new().schedule(&graph, &bounded).unwrap();
     assert_eq!(reference, incremental, "n=1000 MemMinMin diverged");
+    assert_online_matches_reference(OnlineSolver::memminmin(), &Ok(reference), &graph, &bounded);
 }
