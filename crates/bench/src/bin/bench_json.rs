@@ -399,10 +399,33 @@ fn benches(quick: bool) -> Vec<Bench> {
     let large_platform = bounded_single_pair(&large);
     set.push(scheduler_bench(
         "memminmin/largerand-1000-t1",
-        large,
+        large.clone(),
         large_platform,
         MemMinMin::new(),
     ));
+
+    // The same instance at the Figure 12 grid (α = i / 20 of HEFT's peak,
+    // 21 points) through `solve_sweep`, MemHEFT then MemMinMin: the path
+    // every campaign DAG takes.
+    let open = Platform::single_pair(0.0, 0.0);
+    let peak = heft_baseline(&large, &open).peaks.max();
+    let grid: Vec<Platform> = (0..=20)
+        .map(|i| {
+            let bound = i as f64 / 20.0 * peak;
+            open.with_memory_bounds(bound, bound)
+        })
+        .collect();
+    set.push(Bench {
+        id: "sweep/largerand-1000-21a".into(),
+        run: Box::new(move || {
+            let ctx = SolveCtx::sequential();
+            for solver in [&MemHeft::new() as &dyn Solver, &MemMinMin::new()] {
+                let outcomes = solver.solve_sweep(&large, &grid, &ctx);
+                std::hint::black_box(outcomes.len());
+            }
+        }),
+        min_samples: None,
+    });
 
     set
 }

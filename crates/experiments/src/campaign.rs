@@ -11,7 +11,11 @@
 //!
 //! Solvers are selected **by registry key** ([`CampaignConfig::solvers`],
 //! resolved against `mals_exact::solver_registry()`), so heuristics and
-//! exact backends run through one code path.
+//! exact backends run through one code path. Each DAG costs one
+//! [`Solver::solve_sweep_with`] call per solver over the whole α grid: the
+//! list heuristics solve the grid in one pass that shares every step no
+//! bound constrains, with outcomes bit for bit those of one solve per α,
+//! each reduced to its normalised makespan as soon as it is final.
 //!
 //! # Streaming aggregation
 //!
@@ -544,21 +548,23 @@ fn run_one_dag(
     let baseline_makespan = baseline.makespan.max(f64::MIN_POSITIVE);
     let ctx = SolveCtx::with_limits(SolveLimits::with_node_limit(config.optimal_node_limit));
 
-    let per_alpha = config
+    let bounded: Vec<Platform> = config
         .alphas
         .iter()
         .map(|&alpha| {
             let bound = alpha * baseline_memory;
-            let bounded = platform.with_memory_bounds(bound, bound);
-            solvers
-                .iter()
-                .map(|solver| {
-                    crate::sweep::checked_makespan(solver, graph, &bounded, &ctx)
-                        .map(|m| m / baseline_makespan)
-                })
-                .collect()
+            platform.with_memory_bounds(bound, bound)
         })
         .collect();
+    let mut per_alpha = vec![vec![None; solvers.len()]; bounded.len()];
+    for (method, solver) in solvers.iter().enumerate() {
+        // Streamed: each outcome is reduced to its normalised makespan as
+        // soon as it is final, so the grid's schedules are never all alive.
+        solver.solve_sweep_with(graph, &bounded, &ctx, &mut |i, outcome| {
+            let makespan = crate::sweep::checked(solver.as_ref(), outcome);
+            per_alpha[i][method] = makespan.map(|m| m / baseline_makespan);
+        });
+    }
     DagOutcomes { per_alpha }
 }
 

@@ -38,7 +38,7 @@ fn succeeds(
     bound: f64,
 ) -> Option<f64> {
     let bounded = platform.with_memory_bounds(bound, bound);
-    crate::sweep::checked_makespan(solver, graph, &bounded, ctx)
+    crate::sweep::checked(solver, &solver.solve(graph, &bounded, ctx))
 }
 
 /// Finds, by bisection, the smallest symmetric memory bound in

@@ -10,7 +10,7 @@
 
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
-use mals_sched::{Heft, MinMin, Scheduler, SolveCtx, Solver};
+use mals_sched::{Heft, MinMin, Scheduler, SolveCtx, SolveOutcome, Solver};
 use mals_sim::{memory_peaks, MemoryPeaks};
 use mals_util::{parallel_map, ParallelConfig};
 
@@ -102,17 +102,12 @@ impl SweepPoint {
     }
 }
 
-/// Solves and returns the makespan, distinguishing honest infeasibility
-/// (`None`) from an instance the solver *rejected* (cyclic graph, …), which
-/// panics with the recorded cause — a rejected instance must never be
-/// reported as "infeasible at this memory bound" by the experiment drivers.
-pub(crate) fn checked_makespan(
-    solver: &dyn Solver,
-    graph: &TaskGraph,
-    platform: &Platform,
-    ctx: &SolveCtx,
-) -> Option<f64> {
-    let outcome = solver.solve(graph, platform, ctx);
+/// The makespan of `solver`'s `outcome`, distinguishing honest
+/// infeasibility (`None`) from an instance the solver *rejected* (cyclic
+/// graph, …), which panics with the recorded cause — a rejected instance
+/// must never be reported as "infeasible at this memory bound" by the
+/// experiment drivers.
+pub(crate) fn checked(solver: &dyn Solver, outcome: &SolveOutcome) -> Option<f64> {
     if let Some(error) = &outcome.error {
         panic!("solver {} rejected the instance: {error}", solver.name());
     }
@@ -172,7 +167,7 @@ pub fn sweep_absolute(
         for s in memory_aware {
             outcomes.push(SchedulerOutcome {
                 name: s.name().to_string(),
-                makespan: checked_makespan(*s, graph, &bounded, ctx),
+                makespan: checked(*s, &s.solve(graph, &bounded, ctx)),
             });
         }
         SweepPoint {

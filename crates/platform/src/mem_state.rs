@@ -78,7 +78,23 @@ impl MemoryState {
     /// can never be satisfied (the memory is permanently too full, or
     /// `amount` exceeds the capacity).
     pub fn earliest_fit(&self, mem: Memory, t_min: f64, amount: f64) -> Option<f64> {
-        let bound = self.bound(mem);
+        self.earliest_fit_within(mem, t_min, amount, self.bound(mem))
+    }
+
+    /// [`MemoryState::earliest_fit`] as if memory `µ` had capacity `bound`
+    /// instead of its own, over the same usage profile. The answer is
+    /// monotone in `bound`: a larger capacity never fits later, and never
+    /// fails where a smaller one fits. A memory's profile is kept only when
+    /// its own bound is finite, so a finite `bound` is only meaningful
+    /// there.
+    #[inline]
+    pub fn earliest_fit_within(
+        &self,
+        mem: Memory,
+        t_min: f64,
+        amount: f64,
+        bound: f64,
+    ) -> Option<f64> {
         if amount <= EPSILON || bound.is_infinite() {
             return Some(t_min.max(0.0));
         }
@@ -95,6 +111,19 @@ impl MemoryState {
             Some(t) => t <= t_min + EPSILON,
             None => false,
         }
+    }
+
+    /// Replaces the capacities with `bounds` (`[blue, red]`), keeping the
+    /// usage profiles. A memory keeps a profile only while its bound is
+    /// finite, so a finite bound may not replace a `+∞` one.
+    pub fn rebound(&mut self, bounds: [f64; 2]) {
+        for (old, new) in self.bounds.iter().zip(bounds) {
+            assert!(
+                !old.is_infinite() || new == *old,
+                "a +∞ memory keeps no profile to re-bound"
+            );
+        }
+        self.bounds = bounds;
     }
 
     /// Checks the internal invariants: usage is never negative and never
@@ -221,6 +250,28 @@ mod tests {
         assert!(m.fits(Memory::Blue, 0.0, 2.0));
         assert!(!m.fits(Memory::Blue, 0.0, 5.0));
         assert!(m.fits(Memory::Blue, 6.0, 5.0));
+    }
+
+    #[test]
+    fn earliest_fit_within_answers_for_that_bound() {
+        let mut m = bounded(10.0, 10.0);
+        m.batch().reserve_range(Memory::Blue, 0.0, 6.0, 8.0);
+        for bound in [4.0, 9.0, 10.0, 13.0, f64::INFINITY] {
+            let mut other = bounded(bound, 10.0);
+            other.batch().reserve_range(Memory::Blue, 0.0, 6.0, 8.0);
+            for amount in [0.0, 2.0, 5.0, 11.0] {
+                assert_eq!(
+                    m.earliest_fit_within(Memory::Blue, 0.0, amount, bound),
+                    other.earliest_fit(Memory::Blue, 0.0, amount),
+                    "bound {bound}, amount {amount}"
+                );
+            }
+        }
+        // Re-bounding keeps the profile: 8 units until t = 6.
+        m.rebound([4.0, 10.0]);
+        assert_eq!(m.bound(Memory::Blue), 4.0);
+        assert_eq!(m.earliest_fit(Memory::Blue, 0.0, 2.0), Some(6.0));
+        assert_eq!(m.earliest_fit(Memory::Blue, 0.0, 5.0), None);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Scheduler for MemHeftVariant {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        list::run(self, graph, platform, CancelSignal::default())
+        list::sweep_one(self, graph, platform, CancelSignal::default())
     }
 }
 

@@ -27,7 +27,7 @@
 //! that is what lets the min-EFT scan skip a stale side an exact lower bound
 //! shows cannot win, leaving the slot stale.
 
-use crate::partial::{CommitEffects, EstBreakdown, PartialSchedule};
+use crate::partial::{CommitEffects, EstBreakdown};
 use mals_dag::TaskId;
 use mals_platform::Memory;
 
@@ -40,7 +40,8 @@ struct Slot {
     value: Option<EstBreakdown>,
 }
 
-/// An exact EST cache over a [`PartialSchedule`] (see the module docs).
+/// An exact EST cache over a [`PartialSchedule`](crate::partial::PartialSchedule)
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct EstCache {
     /// Per-memory state epoch; slot entries are valid iff their stamp
@@ -88,25 +89,34 @@ impl EstCache {
         }
     }
 
-    /// Evaluates the `mem` side of `task` afresh and stores it as current.
-    pub(crate) fn reevaluate(
+    /// Stores `value`, a fresh evaluation of the `mem` side of `task`, as
+    /// current, and returns it.
+    pub(crate) fn store(
         &mut self,
-        partial: &PartialSchedule<'_>,
         task: TaskId,
         mem: Memory,
+        value: Option<EstBreakdown>,
     ) -> Option<EstBreakdown> {
-        let value = partial.evaluate(task, mem);
         self.slots[task.index()][mem.index()] = Slot {
             epoch: self.epoch[mem.index()],
             value,
         };
         value
     }
+
+    /// Stales every slot on both memories, keeping the last values (the
+    /// selection core's fork re-bounds the state under the cache).
+    pub(crate) fn stale_all(&mut self) {
+        for epoch in &mut self.epoch {
+            *epoch += 1;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partial::PartialSchedule;
     use mals_gen::{dex, DaggenParams, WeightRanges};
     use mals_platform::Platform;
     use mals_util::Pcg64;
@@ -120,7 +130,7 @@ mod tests {
     ) -> Option<EstBreakdown> {
         let pair = [Memory::Blue, Memory::Red].map(|mem| match cache.cached(task, mem) {
             Ok(current) => current,
-            Err(_) => cache.reevaluate(partial, task, mem),
+            Err(_) => cache.store(task, mem, partial.evaluate(task, mem)),
         });
         PartialSchedule::combine_pair(pair, false)
     }

@@ -32,7 +32,10 @@
 //! lower bound shows cannot win. Each commit repairs the memory profiles'
 //! extrema once, through one mutation batch. Schedules are bit-identical to
 //! the scan-everything engines at a fraction of the work, which is what
-//! scales the heuristics to 10⁴–10⁵-task DAGs.
+//! scales the heuristics to 10⁴–10⁵-task DAGs. A grid of memory bounds is
+//! solved in one pass ([`Solver::solve_sweep`]): the largest bound leads,
+//! and the smaller ones share its commits until one of its evaluations
+//! would start elsewhere under their bound.
 //!
 //! The **online layer** ([`online`]) replays an arrival timeline
 //! (`mals_gen::ArrivalTrace`) through an event-driven simulator on a virtual

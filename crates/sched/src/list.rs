@@ -14,9 +14,9 @@
 //! ready candidates — keyed by priority-list position for the priority
 //! rule, while the min-EFT rule scans the partial schedule's own ready set,
 //! filtered by admission, in task-id order. The static solvers admit the
-//! whole graph up front and drive [`run`]; the online replayer admits tasks
-//! as they arrive and calls [`ListCore::select`] at the virtual `now` of
-//! each re-plan.
+//! whole graph up front and drive [`sweep`] (a single solve is a sweep of
+//! one platform); the online replayer admits tasks as they arrive and calls
+//! [`ListCore::select`] at the virtual `now` of each re-plan.
 //!
 //! # Flooring at `now`
 //!
@@ -50,6 +50,54 @@
 //! newly ready tasks are always evaluated, since a release may have made
 //! them fit. With a horizon window nothing is skipped: the deferred
 //! candidates' exact starts are what schedules the next re-plan.
+//!
+//! # Sweeping memory bounds: a leader and its followers
+//!
+//! The experiments solve one DAG under many memory bounds, and a
+//! memory-aware heuristic takes exactly the decisions of a larger bound for
+//! as long as its own bound does not bind. [`sweep`] validates the graph
+//! and builds the priority list once, then splits the platforms into
+//! *chains*: a *leader*, the largest remaining bounds, and *followers*,
+//! platforms with the same processors whose bounds descend from it
+//! componentwise (equal wherever the leader's is `+∞`, which keeps no
+//! profile to check against). Incomparable platforms start chains of their
+//! own. Only the leader is solved; its followers share each commit for as
+//! long as the check below holds.
+//!
+//! * **The check.** A bound enters a step only through the two memory fits
+//!   of an evaluation ([`PartialSchedule::place`]), and of the breakdown
+//!   they feed, the selection and the commit read only the start (and the
+//!   finish, start plus work); the memory, precedence and transfer window
+//!   do not depend on the bound. So at every evaluation the leader
+//!   computes, the same evaluation is repeated at the smallest follower's
+//!   bound, and when it does not start at the identical time (or fails
+//!   where the leader's fits), that follower *splits off*. Nothing is
+//!   compared with a tolerance. Everything a step reads is then the same
+//!   for every remaining follower: fresh cache hits were checked when they
+//!   were computed, and the min-EFT pruning bound does not depend on the
+//!   bound. The start is monotone in the bound (every memory fit is), so
+//!   an evaluation that agrees at the smallest follower's bound agrees at
+//!   every bound between it and the leader's, and the followers that split
+//!   off in a step are a prefix of the ascending chain.
+//! * **Forks.** At the end of a step where followers split off, the
+//!   pre-commit core is cloned and re-bounded to the largest of them; the
+//!   others become its followers. The clone takes the leader's cache and
+//!   stales both its epochs, since this step's evaluations were checked
+//!   only against bounds that no longer split; the stale values still
+//!   serve the min-EFT pruning, whose bound reads only the
+//!   bound-independent precedence. It also takes the leader's placements,
+//!   which it only extends. The fork runs to completion depth first and
+//!   is dropped before the leader resumes: the leader takes its own
+//!   placements back out of the fork's, and starts a fresh cache (every
+//!   side stale, so nothing is pruned on a value it no longer holds). At
+//!   most one fork per nesting level is alive, and no two caches or
+//!   copies of the shared placements.
+//! * **The rest** receive the leader's result: its schedule, or its
+//!   infeasibility or cancellation with the same `scheduled` count.
+//!
+//! Each entry of a sweep is therefore bit for bit the solve of its platform
+//! alone. A chain of one (a single solve, and every online replay) checks
+//! nothing.
 
 use crate::error::ScheduleError;
 use crate::incremental::EstCache;
@@ -82,47 +130,230 @@ pub(crate) trait ListHeuristic {
     }
 }
 
-/// Schedules `graph` on `platform` with `heuristic`, polling `cancel` once
-/// per committed task: when it trips, returns [`ScheduleError::Cancelled`]
-/// without committing anything further (a prefix of a schedule is not a
-/// schedule). [`CancelSignal::default`] never trips.
+/// Where a sweep files its results: called once per distinct result, in
+/// completion order, with the indices of the platforms it answers (a leader
+/// and the followers that never split off share one result).
+pub(crate) type Sink<'s> = &'s mut dyn FnMut(&[usize], Result<Schedule, ScheduleError>);
+
+/// Schedules `graph` on every platform of `platforms` with `heuristic`
+/// (see the module docs) and hands each result to `sink` as soon as it is
+/// final: only the live cores are ever held, never the whole grid's
+/// schedules, and a result shared by many platforms is never copied.
+///
+/// Polls `cancel` once per committed task: when it trips, the unfinished
+/// platforms get [`ScheduleError::Cancelled`] without anything further
+/// committed (a prefix of a schedule is not a schedule).
+/// [`CancelSignal::default`] never trips.
 ///
 /// # Errors
 ///
-/// [`ScheduleError::InvalidGraph`] when the graph fails validation (checked
-/// before any priority list is built), [`ScheduleError::Infeasible`] when no
-/// ready task fits in either memory, now or ever.
-pub(crate) fn run<H: ListHeuristic + ?Sized>(
+/// Per platform: [`ScheduleError::InvalidGraph`] when the graph fails
+/// validation (checked before any priority list is built),
+/// [`ScheduleError::Infeasible`] when no ready task fits in either memory,
+/// now or ever.
+pub(crate) fn sweep<H: ListHeuristic + ?Sized>(
     heuristic: &H,
     graph: &TaskGraph,
-    platform: &Platform,
+    platforms: &[Platform],
     cancel: CancelSignal<'_>,
-) -> Result<Schedule, ScheduleError> {
-    graph.validate()?;
+    sink: Sink<'_>,
+) {
+    if let Err(e) = graph.validate() {
+        let all: Vec<usize> = (0..platforms.len()).collect();
+        sink(&all, Err(e.into()));
+        return;
+    }
     let order = heuristic.priority(graph);
     let rule = match order {
         Some(_) => Rule::Priority,
         None => Rule::MinEft,
     };
-    let mut core = ListCore::new(graph, platform, rule, heuristic.prefer_red());
-    core.admit(graph.task_ids());
-    if let Some(order) = order {
-        core.reorder(&order);
-    }
-    while !core.partial.is_complete() {
-        if cancel.is_cancelled() {
-            return Err(core.cancelled());
+    for chain in chains(platforms) {
+        let (leader, followers) = chain.split_first().expect("a chain has a leader");
+        let mut core = ListCore::new(graph, leader.platform, rule, heuristic.prefer_red());
+        core.admit(graph.task_ids());
+        if let Some(order) = &order {
+            core.reorder(order);
         }
-        let Some((task, breakdown)) = core.select(0.0, None) else {
-            break;
+        core.followers.chain = followers.iter().rev().copied().collect();
+        drive(core, leader.index, cancel, sink).file(sink);
+    }
+}
+
+/// [`sweep`] on the one platform of a single solve.
+pub(crate) fn sweep_one<H: ListHeuristic + ?Sized>(
+    heuristic: &H,
+    graph: &TaskGraph,
+    platform: &Platform,
+    cancel: CancelSignal<'_>,
+) -> Result<Schedule, ScheduleError> {
+    let mut result = None;
+    sweep(
+        heuristic,
+        graph,
+        std::slice::from_ref(platform),
+        cancel,
+        &mut |_, r| result = Some(r),
+    );
+    result.expect("one platform, one result")
+}
+
+/// One platform of a sweep: its index in the caller's slice, and the
+/// platform.
+#[derive(Debug, Clone, Copy)]
+struct Member<'a> {
+    index: usize,
+    platform: &'a Platform,
+}
+
+/// Splits `platforms` into chains (see the module docs), each listed from
+/// its leader down: every member follows the one before it.
+fn chains(platforms: &[Platform]) -> Vec<Vec<Member<'_>>> {
+    let mut left: Vec<Member<'_>> = platforms
+        .iter()
+        .enumerate()
+        .map(|(index, platform)| Member { index, platform })
+        .collect();
+    left.sort_by(|a, b| {
+        let (a, b) = (a.platform, b.platform);
+        (b.blue_procs, b.red_procs)
+            .cmp(&(a.blue_procs, a.red_procs))
+            .then(b.mem_blue.total_cmp(&a.mem_blue))
+            .then(b.mem_red.total_cmp(&a.mem_red))
+    });
+    let mut chains = Vec::new();
+    while let Some((&leader, rest)) = left.split_first() {
+        let mut chain = vec![leader];
+        let mut unchained = Vec::new();
+        for &member in rest {
+            let last = chain.last().expect("a chain has a leader");
+            if follows(member.platform, last.platform) {
+                chain.push(member);
+            } else {
+                unchained.push(member);
+            }
+        }
+        chains.push(chain);
+        left = unchained;
+    }
+    chains
+}
+
+/// `true` when `follower` may share the commits of `leader`: the same
+/// processors and, on each memory, a finite bound no larger than the
+/// leader's finite one, or the leader's own bound where that is infinite.
+fn follows(follower: &Platform, leader: &Platform) -> bool {
+    (follower.blue_procs, follower.red_procs) == (leader.blue_procs, leader.red_procs)
+        && [Memory::Blue, Memory::Red].into_iter().all(|mem| {
+            let (f, l) = (follower.memory_bound(mem), leader.memory_bound(mem));
+            if l.is_infinite() {
+                f == l
+            } else {
+                f.is_finite() && f <= l
+            }
+        })
+}
+
+/// How a core ended: the platforms it answers (its leader last), its
+/// placements, complete or not, and the error that stopped it short.
+struct Finished {
+    indices: Vec<usize>,
+    placements: Schedule,
+    error: Option<ScheduleError>,
+}
+
+impl Finished {
+    /// Hands the result to `sink`.
+    fn file(self, sink: Sink<'_>) {
+        let result = match self.error {
+            None => Ok(self.placements),
+            Some(error) => Err(error),
+        };
+        sink(&self.indices, result);
+    }
+}
+
+/// Runs `core`, whose own platform is `platforms[leader]`, to completion,
+/// forking depth first where followers split off and filing each fork's
+/// result with `sink`.
+fn drive(
+    mut core: ListCore<'_>,
+    leader: usize,
+    cancel: CancelSignal<'_>,
+    sink: Sink<'_>,
+) -> Finished {
+    let stopped = loop {
+        if core.partial.is_complete() {
+            break None;
+        }
+        if cancel.is_cancelled() {
+            break Some(core.cancelled());
+        }
+        let choice = core.select(0.0, None);
+        if core.followers.split > 0 {
+            let (fork, fork_leader) = core.fork();
+            let finished = drive(fork, fork_leader, cancel, sink);
+            core.rejoin(&finished.placements);
+            finished.file(sink);
+        }
+        let Some((task, breakdown)) = choice else {
+            break Some(core.infeasible());
         };
         core.commit(task, &breakdown);
+        #[cfg(test)]
+        tests::SHARED_COMMITS.with(|shared| {
+            shared.set(shared.get() + core.followers.chain.len() as u64);
+        });
+    };
+    let mut indices: Vec<usize> = core.followers.chain.iter().map(|m| m.index).collect();
+    indices.push(leader);
+    Finished {
+        indices,
+        placements: core.partial.into_schedule(),
+        error: stopped,
     }
-    core.finish()
+}
+
+/// The platforms sharing a core's commits (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct Followers<'a> {
+    /// Ascending bounds: `chain[0]` is the smallest.
+    chain: Vec<Member<'a>>,
+    /// How many of `chain` (a prefix) split off during the current step.
+    split: usize,
+}
+
+impl Followers<'_> {
+    /// `partial.evaluate(task, mem)`, splitting off every follower whose
+    /// bound would change its start (the check of the module docs).
+    fn evaluate(
+        &mut self,
+        partial: &PartialSchedule<'_>,
+        task: TaskId,
+        mem: Memory,
+    ) -> Option<EstBreakdown> {
+        if self.split == self.chain.len() {
+            return partial.evaluate(task, mem);
+        }
+        let demand = partial.demand(task, mem)?;
+        let bound = partial.memory_state().bound(mem);
+        let value = partial.place(&demand, bound);
+        while let Some(member) = self.chain.get(self.split) {
+            let follower_bound = member.platform.memory_bound(mem);
+            let start = |bd: Option<EstBreakdown>| bd.map(|bd| bd.est.to_bits());
+            if follower_bound == bound
+                || start(partial.place(&demand, follower_bound)) == start(value)
+            {
+                break;
+            }
+            self.split += 1;
+        }
+        value
+    }
 }
 
 /// The selection core (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ListCore<'a> {
     partial: PartialSchedule<'a>,
     cache: EstCache,
@@ -145,6 +376,9 @@ pub(crate) struct ListCore<'a> {
     /// Earliest floored start among the candidates the last `select`
     /// deferred past its window.
     deferred_min: Option<f64>,
+    /// The sweep platforms sharing this core's commits (none outside a
+    /// sweep).
+    followers: Followers<'a>,
     /// Called with every selection and the `now` it was made at.
     #[cfg(test)]
     pub(crate) audit: Option<Audit>,
@@ -175,6 +409,7 @@ impl<'a> ListCore<'a> {
             position_of: vec![u32::MAX; n],
             candidates: ChunkedIndexSet::new(),
             deferred_min: None,
+            followers: Followers::default(),
             #[cfg(test)]
             audit: None,
         }
@@ -237,6 +472,7 @@ impl<'a> ListCore<'a> {
             order,
             candidates,
             deferred_min,
+            followers,
             ..
         } = self;
         let (partial, rule, prefer_red) = (&*partial, *rule, *prefer_red);
@@ -262,7 +498,7 @@ impl<'a> ListCore<'a> {
                                 continue;
                             }
                         }
-                        cache.reevaluate(partial, task, mem)
+                        cache.store(task, mem, followers.evaluate(partial, task, mem))
                     }
                 };
                 pair[i] = side;
@@ -326,6 +562,42 @@ impl<'a> ListCore<'a> {
         self.cache.apply(&self.effects);
     }
 
+    /// Splits the followers that split off in this step into a fork (see
+    /// the module docs), returned with the index of its leader. The fork
+    /// takes the cache and the placements rather than copies of them, so a
+    /// paused leader and its fork hold one of each:
+    /// [`ListCore::rejoin`] must take them back before the next step.
+    fn fork(&mut self) -> (ListCore<'a>, usize) {
+        let split: Vec<Member<'a>> = self.followers.chain.drain(..self.followers.split).collect();
+        self.followers.split = 0;
+        let (&leader, rest) = split.split_last().expect("a fork has a leader");
+        let cache = std::mem::replace(&mut self.cache, EstCache::new(0));
+        let placements = self.partial.lend_placements();
+        let mut fork = self.clone();
+        fork.cache = cache;
+        fork.cache.stale_all();
+        fork.followers.chain = rest.to_vec();
+        fork.partial.rebound(leader.platform, placements);
+        (fork, leader.index)
+    }
+
+    /// Resumes after a fork: takes the lent placements back from the
+    /// fork's `placements`, and starts a fresh cache (every side stale)
+    /// in place of the one the fork took.
+    fn rejoin(&mut self, placements: &Schedule) {
+        self.partial.rejoin(placements);
+        self.cache = EstCache::new(self.partial.graph().n_tasks());
+    }
+
+    /// The paper's "cannot be processed within the memory bounds" error, for
+    /// a solve no ready task can continue.
+    fn infeasible(&self) -> ScheduleError {
+        ScheduleError::Infeasible {
+            scheduled: self.partial.n_scheduled(),
+            total: self.partial.graph().n_tasks(),
+        }
+    }
+
     /// The error a cancelled solve reports.
     pub(crate) fn cancelled(&self) -> ScheduleError {
         ScheduleError::Cancelled {
@@ -349,6 +621,13 @@ mod tests {
     use crate::{Heft, MemHeft, MemMinMin, MinMin};
     use mals_gen::{DaggenParams, WeightRanges};
     use mals_util::Pcg64;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Commits the sweeps on this thread shared: one per follower per
+        /// commit of its leader.
+        pub(super) static SHARED_COMMITS: Cell<u64> = const { Cell::new(0) };
+    }
 
     impl<'a> ListCore<'a> {
         /// The schedule under construction.
@@ -443,6 +722,94 @@ mod tests {
                 matches!(err, ScheduleError::InvalidGraph(_)),
                 "{}: {err}",
                 scheduler.name()
+            );
+        }
+    }
+
+    /// The tasks a result placed: all of them, or the count an error
+    /// reports.
+    fn placed(result: &Result<Schedule, ScheduleError>, n: usize) -> u64 {
+        match result {
+            Ok(_) => n as u64,
+            Err(ScheduleError::Infeasible { scheduled, .. }) => *scheduled as u64,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+
+    #[test]
+    fn chains_descend_and_leave_incomparable_platforms_to_their_own_leaders() {
+        let pair = Platform::single_pair;
+        let platforms = [
+            pair(5.0, 5.0),
+            pair(9.0, 4.0),
+            pair(4.0, 9.0),
+            pair(10.0, 10.0),
+            pair(5.0, 5.0),
+            pair(f64::INFINITY, 3.0),
+            pair(f64::INFINITY, 8.0),
+            Platform::new(2, 1, 5.0, 5.0).unwrap(),
+        ];
+        let chains: Vec<Vec<usize>> = chains(&platforms)
+            .iter()
+            .map(|chain| chain.iter().map(|member| member.index).collect())
+            .collect();
+        // Other processors, then +∞ blue (which only +∞ blue may follow),
+        // then the finite pairs, each chain descending from its leader.
+        assert_eq!(
+            chains,
+            vec![vec![7], vec![6, 5], vec![3, 1], vec![0, 4], vec![2]]
+        );
+    }
+
+    #[test]
+    fn sweep_shares_the_unbound_steps_of_a_figure_12_grid() {
+        // One 1000-task LargeRandSet DAG at the campaign's 21 bounds
+        // α · (HEFT's peak): each entry is the solve of its platform alone,
+        // and the α = 1 leader shares at least 30 % of the α < 1 commits.
+        let mut rng = Pcg64::new(0x1000 + 1000);
+        let g = mals_gen::daggen::generate(
+            &DaggenParams::large_rand().with_size(1000),
+            &WeightRanges::large_rand(),
+            &mut rng,
+        );
+        let open = Platform::single_pair(f64::INFINITY, f64::INFINITY);
+        let heft = Heft::new().schedule(&g, &open).unwrap();
+        let peak = mals_sim::memory_peaks(&g, &open, &heft).max();
+        let platforms: Vec<Platform> = (0..=20)
+            .map(|i| {
+                let bound = i as f64 / 20.0 * peak;
+                open.with_memory_bounds(bound, bound)
+            })
+            .collect();
+        let heuristics: [&dyn ListHeuristic; 2] = [&MemHeft, &MemMinMin];
+        for heuristic in heuristics {
+            SHARED_COMMITS.with(|shared| shared.set(0));
+            let mut swept = vec![None; platforms.len()];
+            sweep(
+                heuristic,
+                &g,
+                &platforms,
+                CancelSignal::default(),
+                &mut |indices, result| {
+                    for &i in indices {
+                        swept[i] = Some(result.clone());
+                    }
+                },
+            );
+            let shared = SHARED_COMMITS.with(Cell::get);
+            let mut total = 0;
+            for (platform, result) in platforms.iter().zip(&swept) {
+                let result = result.as_ref().expect("every platform has a result");
+                let alone = sweep_one(heuristic, &g, platform, CancelSignal::default());
+                assert_eq!(&alone, result, "bound {}", platform.mem_blue);
+                if platform.mem_blue < peak {
+                    total += placed(result, g.n_tasks());
+                }
+            }
+            eprintln!("shared {shared} of {total} commits");
+            assert!(
+                10 * shared >= 3 * total,
+                "shared {shared} of {total} commits"
             );
         }
     }

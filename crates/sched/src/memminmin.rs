@@ -42,7 +42,7 @@ impl Scheduler for MemMinMin {
     }
 
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Result<Schedule, ScheduleError> {
-        list::run(self, graph, platform, CancelSignal::default())
+        list::sweep_one(self, graph, platform, CancelSignal::default())
     }
 }
 

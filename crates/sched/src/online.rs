@@ -21,7 +21,8 @@
 //!   [`ReplanPolicy::EveryK`]);
 //! * **ReplanTriggered** — a deferred re-plan fires (pushed by
 //!   [`ReplanPolicy::Horizon`] when a candidate's start lies beyond the
-//!   current window).
+//!   current window; at most one is pending per instant, since a second
+//!   re-plan at the same instant would find nothing left to commit).
 //!
 //! A *re-plan* greedily commits candidates — MemHEFT order or MemMinMin
 //! order, per [`OnlineFlavor`] — through the list-scheduling core of the
@@ -45,7 +46,7 @@ use mals_platform::Platform;
 use mals_sim::Schedule;
 use mals_util::{F64Ord, VirtualClock};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::time::{Duration, Instant};
 
 /// When the rolling-horizon scheduler re-plans the unscheduled suffix.
@@ -276,6 +277,8 @@ struct Replayer<'a> {
     /// Arrived tasks in priority order (MemHEFT flavor).
     order: Vec<TaskId>,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
+    /// The instants of the queued re-plan triggers.
+    pending_replans: BTreeSet<F64Ord>,
     seq: u64,
     // Accounting.
     events: u64,
@@ -308,6 +311,7 @@ impl<'a> Replayer<'a> {
             rank: vec![0.0; n],
             order: Vec::with_capacity(n),
             queue: BinaryHeap::new(),
+            pending_replans: BTreeSet::new(),
             seq: 0,
             events: 0,
             arrivals: 0,
@@ -337,6 +341,7 @@ impl<'a> Replayer<'a> {
                 }
                 Payload::Completion => self.completions += 1,
                 Payload::Replan => {
+                    self.pending_replans.remove(&event.at);
                     replan = matches!(self.config.policy, ReplanPolicy::Horizon(_));
                 }
             }
@@ -352,8 +357,11 @@ impl<'a> Replayer<'a> {
                 if let Some(at) = self.core.deferred_min() {
                     // The deferred start lies strictly beyond `now + window`,
                     // so the re-plan event is strictly in the future and the
-                    // loop makes progress.
-                    self.push(at, RANK_REPLAN, Payload::Replan);
+                    // loop makes progress. One already pending at `at` will
+                    // re-plan then anyway.
+                    if self.pending_replans.insert(F64Ord(at)) {
+                        self.push(at, RANK_REPLAN, Payload::Replan);
+                    }
                 }
             }
         }
@@ -660,6 +668,33 @@ mod tests {
                 );
                 assert!(outcome.replans >= 1);
             }
+        }
+    }
+
+    #[test]
+    fn horizon_replans_at_most_once_per_instant() {
+        // Every drain that defers a candidate asks for a re-plan at the
+        // earliest deferred start; one already pending at that instant
+        // covers it, so re-plans stay within one per processed event.
+        let mut rng = Pcg64::new(5);
+        let g = mals_gen::daggen::generate(
+            &DaggenParams::small_rand().with_size(300),
+            &WeightRanges::small_rand(),
+            &mut rng,
+        );
+        let platform = Platform::new(2, 2, f64::INFINITY, f64::INFINITY).unwrap();
+        let trace = ArrivalProcess::Poisson { rate: 100.0 }.generate(&g, 1);
+        for flavor in [OnlineFlavor::MemHeft, OnlineFlavor::MemMinMin] {
+            let config = OnlineConfig::new(flavor, ReplanPolicy::Horizon(50.0));
+            let outcome = replay(&g, &platform, &trace, config, &SolveCtx::sequential()).unwrap();
+            assert!(
+                outcome.replans <= outcome.arrivals + outcome.completions + 1,
+                "{flavor:?}: {} re-plans for {} arrivals and {} completions",
+                outcome.replans,
+                outcome.arrivals,
+                outcome.completions
+            );
+            assert!(validate(&g, &platform, &outcome.schedule).is_valid());
         }
     }
 

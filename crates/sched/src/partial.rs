@@ -54,6 +54,22 @@ pub struct EstBreakdown {
     pub eft: f64,
 }
 
+/// The part of an evaluation that does not depend on the memory bound
+/// ([`PartialSchedule::demand`]): the processor and precedence terms and
+/// the amounts that must fit, for one task on one memory.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Demand {
+    memory: Memory,
+    resource: f64,
+    precedence: f64,
+    /// The cross-memory input files (`comm_mem_EST`'s amount).
+    cross_inputs: f64,
+    /// Cross-memory inputs plus outputs (`task_mem_EST`'s amount).
+    task_need: f64,
+    comm_window: f64,
+    work: f64,
+}
+
 /// What a [`PartialSchedule::commit`] changed, in exactly the terms an
 /// incremental driver needs:
 ///
@@ -212,6 +228,46 @@ impl<'a> PartialSchedule<'a> {
         self.schedule.makespan()
     }
 
+    /// Lends the placements to a fork of this schedule under construction
+    /// (see [`PartialSchedule::rebound`]): this one holds none until
+    /// [`PartialSchedule::rejoin`] takes them back, so the two never hold
+    /// two copies of the prefix.
+    pub(crate) fn lend_placements(&mut self) -> Schedule {
+        std::mem::replace(&mut self.schedule, Schedule::empty(0, 0))
+    }
+
+    /// Makes this copy of a schedule under construction a fork on
+    /// `platform`, which may differ from the current one only in its memory
+    /// bounds (finite where the current ones are finite, since a `+∞`
+    /// memory keeps no profile), holding `placements`, lent by the
+    /// original.
+    pub(crate) fn rebound(&mut self, platform: &'a Platform, placements: Schedule) {
+        assert_eq!(
+            (platform.blue_procs, platform.red_procs),
+            (self.platform.blue_procs, self.platform.red_procs),
+            "re-bounding keeps the processors"
+        );
+        self.mem.rebound([platform.mem_blue, platform.mem_red]);
+        self.platform = platform;
+        self.schedule = placements;
+    }
+
+    /// Takes back the placements lent to a fork from `fork`, the fork's
+    /// own: they extend this schedule's, so this schedule's are those of
+    /// its own placed tasks and of their incoming transfers.
+    pub(crate) fn rejoin(&mut self, fork: &Schedule) {
+        let mut schedule = Schedule::for_graph(self.graph);
+        for task in self.graph.task_ids().filter(|&t| self.is_scheduled(t)) {
+            schedule.place_task(*fork.task(task).expect("a fork keeps what it was lent"));
+            for &e in self.graph.in_edges(task) {
+                if let Some(&comm) = fork.comm(e) {
+                    schedule.place_comm(comm);
+                }
+            }
+        }
+        self.schedule = schedule;
+    }
+
     /// Read-only access to the memory profiles (used by tests and tracing).
     pub fn memory_state(&self) -> &MemoryState {
         &self.mem
@@ -247,11 +303,18 @@ impl<'a> PartialSchedule<'a> {
     /// when its memory requirement can never be satisfied on `mem` given the
     /// current reservations (the paper's `EFT = +∞` case).
     pub fn evaluate(&self, task: TaskId, mem: Memory) -> Option<EstBreakdown> {
+        let demand = self.demand(task, mem)?;
+        self.place(&demand, self.mem.bound(mem))
+    }
+
+    /// The half of [`PartialSchedule::evaluate`] that does not depend on
+    /// the memory bound: everything but the two memory fits. `None` when
+    /// `task` is not ready.
+    #[inline]
+    pub(crate) fn demand(&self, task: TaskId, mem: Memory) -> Option<Demand> {
         if !self.is_ready(task) {
             return None;
         }
-        let data = self.graph.task(task);
-
         // resource_EST: a processor of `mem` must be free.
         let resource = self.procs.earliest_available(mem);
 
@@ -281,16 +344,42 @@ impl<'a> PartialSchedule<'a> {
 
         // Memory requirements: new files that must fit in `mem`.
         let outputs = self.graph.output_size(task);
-        let task_need = cross_inputs + outputs;
+        Some(Demand {
+            memory: mem,
+            resource,
+            precedence,
+            cross_inputs,
+            task_need: cross_inputs + outputs,
+            comm_window,
+            work: self.graph.task(task).work_on(mem.is_blue()),
+        })
+    }
 
-        let task_mem = self.mem.earliest_fit(mem, 0.0, task_need)?;
-        let comm_mem = self.mem.earliest_fit(mem, 0.0, cross_inputs)?;
+    /// The evaluation of `demand` as if its memory had capacity `bound`
+    /// (the rest of [`PartialSchedule::evaluate`]). Every memory-dependent
+    /// term is monotone in `bound`, so the start is too: a larger bound
+    /// never starts later, and never fails where a smaller one fits.
+    #[inline]
+    pub(crate) fn place(&self, demand: &Demand, bound: f64) -> Option<EstBreakdown> {
+        let Demand {
+            memory: mem,
+            resource,
+            precedence,
+            cross_inputs,
+            task_need,
+            comm_window,
+            work,
+        } = *demand;
+        let task_mem = self.mem.earliest_fit_within(mem, 0.0, task_need, bound)?;
+        let comm_mem = self
+            .mem
+            .earliest_fit_within(mem, 0.0, cross_inputs, bound)?;
 
         let est = resource
             .max(precedence)
             .max(task_mem)
             .max(comm_mem + comm_window);
-        let eft = est + data.work_on(mem.is_blue());
+        let eft = est + work;
         Some(EstBreakdown {
             memory: mem,
             resource,

@@ -11,6 +11,15 @@
 //!   `Infeasible` or `LimitHit`;
 //! * the LP exporter "solves" nothing and reports `LimitHit`.
 //!
+//! [`Solver::solve_sweep`] solves one graph on many platforms — the memory
+//! grids of the experiments — and owes exactly the outcomes of one
+//! [`Solver::solve`] per platform. It collects [`Solver::solve_sweep_with`],
+//! which streams each outcome as soon as it is final and whose default is
+//! that loop. MemHEFT, MemMinMin and the ablation variants override it with
+//! one pass over the grid that shares every step no bound constrains
+//! (`crate::list`), and [`Unbounded`] solves once per processor shape,
+//! since the bounds do not change its schedule.
+//!
 //! Solvers are instantiated by name through the
 //! [`SolverRegistry`](crate::SolverRegistry) and driven by an
 //! [`Engine`](crate::Engine) session that owns the worker pool and the
@@ -19,7 +28,7 @@
 
 use crate::ablation::MemHeftVariant;
 use crate::error::ScheduleError;
-use crate::list;
+use crate::list::{self, ListHeuristic};
 use crate::memheft::MemHeft;
 use crate::memminmin::MemMinMin;
 use crate::traits::Scheduler;
@@ -288,6 +297,46 @@ pub trait Solver: Sync {
     /// (checked by the registry conformance suite) and must not claim a
     /// status stronger than what they proved.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome;
+
+    /// Solves `graph` on every platform of `platforms` under `ctx`: entry
+    /// `i` is bit for bit [`Solver::solve`] on `platforms[i]`. Collects
+    /// [`Solver::solve_sweep_with`].
+    fn solve_sweep(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+    ) -> Vec<SolveOutcome> {
+        let mut outcomes = vec![None; platforms.len()];
+        self.solve_sweep_with(graph, platforms, ctx, &mut |i, outcome| {
+            outcomes[i] = Some(outcome.clone());
+        });
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("a sweep answers every platform"))
+            .collect()
+    }
+
+    /// [`Solver::solve_sweep`] streamed: hands `sink` each platform's index
+    /// and outcome once, as soon as it is final, so a caller that keeps
+    /// only a summary (a makespan) never holds the whole grid's schedules,
+    /// and an outcome shared by several platforms is lent, not copied.
+    /// The default solves the platforms one by one, in order. The list
+    /// heuristics solve the grid in one pass that shares every step no
+    /// bound constrains (`crate::list`), and the memory-oblivious baselines
+    /// solve once per processor shape, since their schedule ignores the
+    /// bounds.
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        for (i, platform) in platforms.iter().enumerate() {
+            sink(i, &self.solve(graph, platform, ctx));
+        }
+    }
 }
 
 impl<S: Solver + ?Sized> Solver for &S {
@@ -297,6 +346,16 @@ impl<S: Solver + ?Sized> Solver for &S {
 
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         (**self).solve(graph, platform, ctx)
+    }
+
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        (**self).solve_sweep_with(graph, platforms, ctx, sink)
     }
 }
 
@@ -308,6 +367,39 @@ impl<S: Solver + ?Sized> Solver for Box<S> {
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         (**self).solve(graph, platform, ctx)
     }
+
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        (**self).solve_sweep_with(graph, platforms, ctx, sink)
+    }
+}
+
+/// A list heuristic's [`Solver::solve_sweep_with`], polling `ctx.cancel`
+/// once per committed task.
+fn list_sweep<H: ListHeuristic>(
+    heuristic: &H,
+    graph: &TaskGraph,
+    platforms: &[Platform],
+    ctx: &SolveCtx,
+    sink: &mut dyn FnMut(usize, &SolveOutcome),
+) {
+    list::sweep(
+        heuristic,
+        graph,
+        platforms,
+        ctx.cancel,
+        &mut |indices, result| {
+            let outcome = SolveOutcome::from_heuristic(result);
+            for &i in indices {
+                sink(i, &outcome);
+            }
+        },
+    );
 }
 
 impl Solver for MemHeft {
@@ -315,9 +407,18 @@ impl Solver for MemHeft {
         "MemHEFT"
     }
 
-    /// MemHEFT, polling `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        SolveOutcome::from_heuristic(list::run(self, graph, platform, ctx.cancel))
+        SolveOutcome::from_heuristic(list::sweep_one(self, graph, platform, ctx.cancel))
+    }
+
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        list_sweep(self, graph, platforms, ctx, sink);
     }
 }
 
@@ -326,9 +427,18 @@ impl Solver for MemMinMin {
         "MemMinMin"
     }
 
-    /// MemMinMin, polling `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        SolveOutcome::from_heuristic(list::run(self, graph, platform, ctx.cancel))
+        SolveOutcome::from_heuristic(list::sweep_one(self, graph, platform, ctx.cancel))
+    }
+
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        list_sweep(self, graph, platforms, ctx, sink);
     }
 }
 
@@ -337,10 +447,18 @@ impl Solver for MemHeftVariant {
         Scheduler::name(self)
     }
 
-    /// The variant's priority list on the list-scheduling core, polling
-    /// `ctx.cancel` once per committed task.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
-        SolveOutcome::from_heuristic(list::run(self, graph, platform, ctx.cancel))
+        SolveOutcome::from_heuristic(list::sweep_one(self, graph, platform, ctx.cancel))
+    }
+
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        list_sweep(self, graph, platforms, ctx, sink);
     }
 }
 
@@ -353,6 +471,30 @@ impl<S: Solver + Sync> Solver for Unbounded<S> {
     /// baselines ignore the bounds by construction).
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         self.inner().solve(graph, &platform.unbounded(), ctx)
+    }
+
+    /// One solve per distinct unbounded platform (the bounds are ignored,
+    /// only the processors matter), lent to every entry that shares it.
+    fn solve_sweep_with(
+        &self,
+        graph: &TaskGraph,
+        platforms: &[Platform],
+        ctx: &SolveCtx,
+        sink: &mut dyn FnMut(usize, &SolveOutcome),
+    ) {
+        let mut solved: Vec<(Platform, SolveOutcome)> = Vec::new();
+        for (i, platform) in platforms.iter().enumerate() {
+            let unbounded = platform.unbounded();
+            let at = match solved.iter().position(|(p, _)| *p == unbounded) {
+                Some(at) => at,
+                None => {
+                    let outcome = self.inner().solve(graph, &unbounded, ctx);
+                    solved.push((unbounded, outcome));
+                    solved.len() - 1
+                }
+            };
+            sink(i, &solved[at].1);
+        }
     }
 }
 

@@ -160,6 +160,37 @@ fn engine_batch_api_agrees_with_single_solves() {
     }
 }
 
+#[test]
+fn every_solver_sweeps_like_its_single_solves() {
+    // `solve_sweep` entry `i` is `solve` on platform `i`, whether a solver
+    // keeps the default loop (exact backends, portfolio, online) or
+    // overrides it (list heuristics, memory-oblivious baselines).
+    for seed in [11, 12, 13] {
+        let (graph, platform) = small_instance(seed, 6);
+        let bound = platform.mem_blue;
+        let mut grid: Vec<Platform> = [0.0, 0.5, 0.8, 1.0, 1.0, 1.25, f64::INFINITY]
+            .iter()
+            .map(|f| platform.with_memory_bounds(f * bound, f * bound))
+            .collect();
+        grid.push(platform.with_memory_bounds(bound, 0.6 * bound));
+        grid.push(platform.with_memory_bounds(0.6 * bound, bound));
+        for entry in registry().entries() {
+            let key = entry.info.key;
+            let solver = entry.build(42);
+            let swept = solver.solve_sweep(&graph, &grid, &ctx());
+            assert_eq!(swept.len(), grid.len(), "{key}");
+            for (bounded, outcome) in grid.iter().zip(&swept) {
+                let alone = solver.solve(&graph, bounded, &ctx());
+                let at = format!("{key} at ({}, {})", bounded.mem_blue, bounded.mem_red);
+                assert_eq!(outcome.schedule, alone.schedule, "{at}");
+                assert_eq!(outcome.status, alone.status, "{at}");
+                assert_eq!(outcome.nodes, alone.nodes, "{at}");
+                assert_eq!(outcome.error, alone.error, "{at}");
+            }
+        }
+    }
+}
+
 fn small_instance(seed: u64, n_tasks: usize) -> (TaskGraph, Platform) {
     let mut rng = Pcg64::new(seed);
     let graph = mals::gen::daggen::generate(
