@@ -16,12 +16,13 @@
 //! baselines must keep that shape.
 
 use mals_bench::{large_rand_dag, small_rand_dag};
-use mals_dag::TaskGraph;
+use mals_dag::{GraphBuilder, TaskGraph};
 use mals_exact::{solver_registry, BranchAndBound, MilpBackend};
-use mals_experiments::heft_baseline;
+use mals_experiments::{generated_request, heft_baseline, SolveRequest};
 use mals_platform::Platform;
 use mals_sched::{Engine, EngineConfig, Heft, MemHeft, MemMinMin, Scheduler, SolveCtx, Solver};
 use mals_util::{parallel_map, ParallelConfig};
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -33,6 +34,9 @@ struct Bench {
     /// Overrides the global minimum sample count — the second-scale scaling
     /// benches take 3 samples instead of 9 so the smoke run stays fast.
     min_samples: Option<usize>,
+    /// Untimed preparation before every run (the input of a bench whose run
+    /// consumes it); a bench with one is timed one run per sample.
+    setup: Option<Box<dyn Fn()>>,
 }
 
 struct Measurement {
@@ -56,6 +60,7 @@ fn scheduler_bench(
             std::hint::black_box(result.is_ok());
         }),
         min_samples: None,
+        setup: None,
     }
 }
 
@@ -169,6 +174,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                     std::hint::black_box(outcome.nodes);
                 }),
                 min_samples: None,
+                setup: None,
             });
         }
     }
@@ -189,6 +195,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(outcomes.len());
             }),
             min_samples: None,
+            setup: None,
         });
     }
 
@@ -210,6 +217,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(report.winner);
             }),
             min_samples: None,
+            setup: None,
         });
     }
 
@@ -242,6 +250,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(outcome.makespan);
             }),
             min_samples: Some(3),
+            setup: None,
         });
     }
 
@@ -255,6 +264,7 @@ fn benches(quick: bool) -> Vec<Bench> {
             std::hint::black_box(out.len());
         }),
         min_samples: None,
+        setup: None,
     });
 
     // The incremental-engine scaling fixture (PR 5): one 10⁴-task daggen
@@ -275,6 +285,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(result.is_ok());
             }),
             min_samples: Some(3),
+            setup: None,
         });
     }
 
@@ -300,6 +311,36 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(result.is_ok());
             }),
             min_samples: Some(3),
+            setup: None,
+        });
+        // `GraphBuilder::build` on the same instance's 2.35·10⁶ edge
+        // records: validation (duplicates by per-destination stamps, no
+        // hashing) and the adjacency fill. `build` consumes its records, so
+        // the untimed setup clones them and drops the previous run's graph.
+        let mut records = GraphBuilder::with_capacity(huge_graph.n_tasks(), huge_graph.n_edges());
+        for t in huge_graph.task_ids() {
+            let task = huge_graph.task(t);
+            records.add_task(task.name.clone(), task.work_blue, task.work_red);
+        }
+        for e in huge_graph.edge_ids() {
+            let edge = huge_graph.edge(e);
+            records.add_edge(edge.src, edge.dst, edge.size, edge.comm_cost);
+        }
+        let input: Rc<RefCell<Option<GraphBuilder>>> = Rc::default();
+        let built: Rc<RefCell<Option<TaskGraph>>> = Rc::default();
+        let (run_input, run_built) = (Rc::clone(&input), Rc::clone(&built));
+        set.push(Bench {
+            id: "graph/build-100k".into(),
+            run: Box::new(move || {
+                let records = run_input.take().expect("setup prepares the records");
+                let graph = records.build().expect("fixture edges are valid");
+                *run_built.borrow_mut() = Some(std::hint::black_box(graph));
+            }),
+            min_samples: Some(3),
+            setup: Some(Box::new(move || {
+                built.take();
+                *input.borrow_mut() = Some(records.clone());
+            })),
         });
         let unbounded = platform.unbounded();
         set.push(Bench {
@@ -309,6 +350,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(result.is_ok());
             }),
             min_samples: Some(3),
+            setup: None,
         });
     }
 
@@ -327,6 +369,7 @@ fn benches(quick: bool) -> Vec<Bench> {
                 std::hint::black_box(staircase_storm(batch_size));
             }),
             min_samples: None,
+            setup: None,
         });
     }
 
@@ -354,6 +397,7 @@ fn benches(quick: bool) -> Vec<Bench> {
             std::hint::black_box(run.dags_done);
         }),
         min_samples: Some(3),
+        setup: None,
     });
 
     // The service layer (PR 7): one full sustained-load cycle — an
@@ -390,8 +434,27 @@ fn benches(quick: bool) -> Vec<Bench> {
                 handle.join();
             }),
             min_samples: Some(3),
+            setup: None,
         });
     }
+
+    // Request decoding, text to `SolveRequest`: the `malsd` reader's work
+    // per frame, on the 8-request 300-task mix of perfbench's
+    // `daemon-300-closed` workload (`generated_request(300, 8..16)`).
+    let frames: Vec<String> = (8..16)
+        .map(|seed| generated_request(300, seed).to_json().to_compact())
+        .collect();
+    set.push(Bench {
+        id: "json/request-parse-300".into(),
+        run: Box::new(move || {
+            for frame in &frames {
+                let request = SolveRequest::parse(frame).expect("rendered requests parse");
+                std::hint::black_box(request.graph.n_edges());
+            }
+        }),
+        min_samples: None,
+        setup: None,
+    });
 
     // The paper-scale LargeRandSet instance (Figures 12–13: 1000 tasks)
     // through MemMinMin, whose every step scans the whole ready list.
@@ -425,6 +488,7 @@ fn benches(quick: bool) -> Vec<Bench> {
             }
         }),
         min_samples: None,
+        setup: None,
     });
 
     set
@@ -437,15 +501,25 @@ fn benches(quick: bool) -> Vec<Bench> {
 /// median of a microsecond-scale measurement.
 fn measure(bench: &Bench, min_samples: usize, budget: std::time::Duration) -> Measurement {
     let min_samples = bench.min_samples.unwrap_or(min_samples);
+    let setup = || {
+        if let Some(setup) = &bench.setup {
+            setup();
+        }
+    };
     // Warm-up, and a size probe for the batch count.
+    setup();
     let probe = Instant::now();
     (bench.run)();
     let single_ns = probe.elapsed().as_nanos().max(1);
-    let batch = (1_000_000 / single_ns).clamp(1, 1_000) as u32;
+    let batch = match bench.setup {
+        Some(_) => 1,
+        None => (1_000_000 / single_ns).clamp(1, 1_000) as u32,
+    };
 
     let started = Instant::now();
     let mut times: Vec<u128> = Vec::with_capacity(min_samples);
     while times.len() < min_samples || (started.elapsed() < budget && times.len() < 10_000) {
+        setup();
         let start = Instant::now();
         for _ in 0..batch {
             (bench.run)();

@@ -19,6 +19,10 @@ pub enum GraphError {
     InvalidWeight(TaskId),
     /// An edge has a negative file size or communication cost.
     InvalidEdgeWeight(TaskId, TaskId),
+    /// Every weight is finite, but the processing and transfer times, or
+    /// the file sizes, sum beyond the largest finite `f64`: makespans and
+    /// memory peaks of such a graph are not representable.
+    WeightOverflow,
 }
 
 impl std::fmt::Display for GraphError {
@@ -35,6 +39,10 @@ impl std::fmt::Display for GraphError {
                     "invalid file size or communication cost on edge {a} -> {b}"
                 )
             }
+            GraphError::WeightOverflow => write!(
+                f,
+                "processing times, transfer times or file sizes sum to a non-finite total"
+            ),
         }
     }
 }

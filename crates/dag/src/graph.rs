@@ -334,7 +334,9 @@ impl TaskGraph {
         self.total_work_blue() + self.total_work_red() + self.total_comm_cost()
     }
 
-    /// Structural validation: finite non-negative weights and acyclicity.
+    /// Structural validation: finite non-negative weights, finite totals
+    /// ([`TaskGraph::makespan_horizon`] and [`TaskGraph::total_file_size`])
+    /// and acyclicity.
     pub fn validate(&self) -> Result<(), GraphError> {
         for id in self.task_ids() {
             let t = self.task(id);
@@ -345,6 +347,9 @@ impl TaskGraph {
             {
                 return Err(GraphError::InvalidWeight(id));
             }
+        }
+        if !(self.makespan_horizon().is_finite() && self.total_file_size().is_finite()) {
+            return Err(GraphError::WeightOverflow);
         }
         // Acyclicity via Kahn's algorithm.
         crate::algo::topological_order(self).map(|_| ())
@@ -468,6 +473,25 @@ mod tests {
         let mut g = TaskGraph::new();
         let t = g.add_task("a", -1.0, 1.0);
         assert_eq!(g.validate(), Err(GraphError::InvalidWeight(t)));
+    }
+
+    #[test]
+    fn validate_rejects_weights_whose_sums_overflow() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 1e308, 1e308);
+        let b = g.add_task("b", 1e308, 1e308);
+        g.add_edge(a, b, 1e308, 1e308).unwrap();
+        assert_eq!(g.validate(), Err(GraphError::WeightOverflow));
+        // Files alone can overflow too.
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 1.0, 1.0);
+        let b = g.add_task("b", 1.0, 1.0);
+        let c = g.add_task("c", 1.0, 1.0);
+        g.add_edge(a, b, f64::MAX, 0.0).unwrap();
+        g.add_edge(a, c, f64::MAX, 0.0).unwrap();
+        assert_eq!(g.validate(), Err(GraphError::WeightOverflow));
+        g.edge_mut(EdgeId::from_index(1)).size = 0.0;
+        assert!(g.validate().is_ok());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod rank;
 pub mod serialize;
 pub mod stats;
 
-pub use builder::GraphBuilder;
+pub use builder::{BuildError, GraphBuilder};
 pub use error::GraphError;
 pub use graph::{EdgeData, TaskData, TaskGraph};
 pub use ids::{EdgeId, TaskId};

@@ -16,17 +16,21 @@
 //!   Task ids must be `0..n` in order (they are arena indices); edges may
 //!   appear in any order after the tasks they reference.
 //!
-//! * a JSON tree ([`to_json`] / [`from_json`]) used by the solver-service
-//!   request/report surface (`SolveRequest` embeds the graph):
+//! * a JSON shape used by the solver-service request/report surface
+//!   (`SolveRequest` embeds the graph), written as a tree ([`to_json`]) and
+//!   read from text by [`read_json`] straight into a [`GraphBuilder`]
+//!   ([`from_json`] reads a tree through it):
 //!
 //!   ```json
 //!   {"tasks": [{"name": "T1", "blue": 3.0, "red": 1.0}, …],
 //!    "edges": [{"src": 0, "dst": 1, "size": 1.0, "comm": 1.0}, …]}
 //!   ```
 
+use crate::builder::{BuildError, GraphBuilder};
+use crate::error::GraphError;
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
-use mals_util::Json;
+use mals_util::{Json, JsonError, JsonReader};
 
 /// Errors raised while parsing the text or JSON formats.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,53 +176,181 @@ pub fn to_json(graph: &TaskGraph) -> Json {
     Json::obj([("tasks", Json::Arr(tasks)), ("edges", Json::Arr(edges))])
 }
 
-fn json_f64(obj: &Json, key: &str, what: &str) -> Result<f64, ParseError> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ParseError::Json(format!("{what}: missing or non-numeric `{key}`")))
+/// Parses a graph from the JSON shape produced by [`to_json`].
+///
+/// A thin wrapper: the tree is rendered and read back through
+/// [`read_json`], the one graph decoder. (A tree holding a non-finite
+/// number reads it back as `null`, as its text spells it.)
+pub fn from_json(json: &Json) -> Result<TaskGraph, ParseError> {
+    let text = json.to_compact();
+    let mut reader = JsonReader::new(&text);
+    let draft = read_json(&mut reader).map_err(|e| ParseError::Json(e.to_string()))?;
+    draft.finish()
 }
 
-/// Parses a graph from the JSON shape produced by [`to_json`].
-pub fn from_json(json: &Json) -> Result<TaskGraph, ParseError> {
-    let tasks = json
-        .get("tasks")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ParseError::Json("missing `tasks` array".into()))?;
-    let edges = json
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ParseError::Json("missing `edges` array".into()))?;
-    let mut graph = TaskGraph::new();
-    for (i, task) in tasks.iter().enumerate() {
-        let what = format!("task {i}");
-        let name = task
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ParseError::Json(format!("{what}: missing `name`")))?;
-        let blue = json_f64(task, "blue", &what)?;
-        let red = json_f64(task, "red", &what)?;
-        graph.add_task(name, blue, red);
+/// Reads the graph value at the reader's cursor straight into a
+/// [`GraphBuilder`], with no tree: the graph member of a service request.
+///
+/// A syntax error is returned at once. Every other check waits for
+/// [`GraphDraft::finish`], so that a caller can first lex the rest of its
+/// document (a syntax error anywhere wins). The checks and their messages
+/// are those of a tree reading of the value: the first occurrence of a key
+/// counts, members may come in any order, unknown members are skipped, and
+/// the error reported is the first of `tasks`, `edges`, then `task i`,
+/// then `edge i` (fields, endpoints, then the rules of
+/// [`TaskGraph::add_edge`]) in document order.
+pub fn read_json(reader: &mut JsonReader<'_>) -> Result<GraphDraft, JsonError> {
+    let mut draft = GraphDraft::default();
+    if reader.peek() != Some(b'{') {
+        reader.skip_value()?;
+        return Ok(draft);
     }
-    for (i, edge) in edges.iter().enumerate() {
-        let what = format!("edge {i}");
-        let src = edge
-            .get("src")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ParseError::Json(format!("{what}: missing `src`")))?;
-        let dst = edge
-            .get("dst")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ParseError::Json(format!("{what}: missing `dst`")))?;
-        let size = json_f64(edge, "size", &what)?;
-        let comm = json_f64(edge, "comm", &what)?;
-        if src >= graph.n_tasks() || dst >= graph.n_tasks() {
-            return Err(ParseError::Json(format!("{what}: references unknown task")));
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "tasks" if draft.tasks.is_none() => {
+                draft.tasks = Some(read_array(reader, |reader, i| draft.read_task(reader, i))?);
+            }
+            "edges" if draft.edges.is_none() => {
+                draft.edges = Some(read_array(reader, |reader, i| draft.read_edge(reader, i))?);
+            }
+            _ => reader.skip_value()?,
         }
-        graph
-            .add_edge(TaskId::from_index(src), TaskId::from_index(dst), size, comm)
-            .map_err(|e| ParseError::Json(format!("{what}: {e}")))?;
     }
-    Ok(graph)
+    Ok(draft)
+}
+
+/// Reads the value at the cursor, calling `item` on each item if it is an
+/// array; returns whether it was one.
+fn read_array<'a>(
+    reader: &mut JsonReader<'a>,
+    mut item: impl FnMut(&mut JsonReader<'a>, usize) -> Result<(), JsonError>,
+) -> Result<bool, JsonError> {
+    if reader.peek() != Some(b'[') {
+        reader.skip_value()?;
+        return Ok(false);
+    }
+    reader.begin_array()?;
+    let mut i = 0;
+    while reader.next_item()? {
+        item(reader, i)?;
+        i += 1;
+    }
+    Ok(true)
+}
+
+/// A graph read by [`read_json`] whose checks have not run yet.
+#[derive(Debug, Default)]
+pub struct GraphDraft {
+    builder: GraphBuilder,
+    /// Whether `tasks` / `edges` were seen, and were arrays.
+    tasks: Option<bool>,
+    edges: Option<bool>,
+    /// The first task whose fields fail, rendered; no task is added after
+    /// it.
+    task_error: Option<String>,
+    /// The first edge whose fields fail, rendered; no edge is added from
+    /// it on, so the builder's edge indices stay the document's.
+    edge_error: Option<String>,
+}
+
+impl GraphDraft {
+    /// Runs the deferred checks (see [`read_json`]) and assembles the graph.
+    pub fn finish(self) -> Result<TaskGraph, ParseError> {
+        let fail = |message: String| Err(ParseError::Json(message));
+        if self.tasks != Some(true) {
+            return fail("missing `tasks` array".into());
+        }
+        if self.edges != Some(true) {
+            return fail("missing `edges` array".into());
+        }
+        if let Some(message) = self.task_error {
+            return fail(message);
+        }
+        // The builder holds the edges before the first field error, so a
+        // failing edge among them comes first.
+        match (self.builder.build(), self.edge_error) {
+            (Err(BuildError { edge, error }), _) => fail(match error {
+                GraphError::UnknownTask(_) => format!("edge {edge}: references unknown task"),
+                error => format!("edge {edge}: {error}"),
+            }),
+            (Ok(_), Some(message)) => fail(message),
+            (Ok(graph), None) => Ok(graph),
+        }
+    }
+
+    /// Reads task `i`: `name`, `blue` and `red`, first occurrence each.
+    fn read_task(&mut self, reader: &mut JsonReader<'_>, i: usize) -> Result<(), JsonError> {
+        let (mut name, mut blue, mut red) = (None, None, None);
+        if reader.peek() == Some(b'{') {
+            reader.begin_object()?;
+            while let Some(key) = reader.next_key()? {
+                match &*key {
+                    "name" if name.is_none() => name = Some(reader.read_str()?),
+                    "blue" if blue.is_none() => blue = Some(reader.read_f64()?),
+                    "red" if red.is_none() => red = Some(reader.read_f64()?),
+                    _ => reader.skip_value()?,
+                }
+            }
+        } else {
+            reader.skip_value()?;
+        }
+        if self.task_error.is_some() {
+            return Ok(());
+        }
+        match (name.flatten(), blue.flatten(), red.flatten()) {
+            (Some(name), Some(blue), Some(red)) => {
+                self.builder.add_task(name, blue, red);
+            }
+            (None, _, _) => self.task_error = Some(format!("task {i}: missing `name`")),
+            (_, None, _) => self.task_error = Some(non_numeric("task", i, "blue")),
+            (_, _, None) => self.task_error = Some(non_numeric("task", i, "red")),
+        }
+        Ok(())
+    }
+
+    /// Reads edge `i`: `src`, `dst`, `size` and `comm`, first occurrence
+    /// each.
+    fn read_edge(&mut self, reader: &mut JsonReader<'_>, i: usize) -> Result<(), JsonError> {
+        let (mut src, mut dst, mut size, mut comm) = (None, None, None, None);
+        if reader.peek() == Some(b'{') {
+            reader.begin_object()?;
+            while let Some(key) = reader.next_key()? {
+                match &*key {
+                    "src" if src.is_none() => src = Some(reader.read_f64()?),
+                    "dst" if dst.is_none() => dst = Some(reader.read_f64()?),
+                    "size" if size.is_none() => size = Some(reader.read_f64()?),
+                    "comm" if comm.is_none() => comm = Some(reader.read_f64()?),
+                    _ => reader.skip_value()?,
+                }
+            }
+        } else {
+            reader.skip_value()?;
+        }
+        if self.edge_error.is_some() {
+            return Ok(());
+        }
+        // An id is what `Json::as_usize` accepts; one beyond `u32` saturates
+        // to an index no graph reaches, so the builder reports it unknown.
+        let id = |x: Option<Option<f64>>| {
+            let index = Json::Num(x.flatten()?).as_usize()?;
+            Some(TaskId(u32::try_from(index).unwrap_or(u32::MAX)))
+        };
+        match (id(src), id(dst), size.flatten(), comm.flatten()) {
+            (Some(src), Some(dst), Some(size), Some(comm)) => {
+                self.builder.add_edge(src, dst, size, comm);
+            }
+            (None, ..) => self.edge_error = Some(format!("edge {i}: missing `src`")),
+            (_, None, ..) => self.edge_error = Some(format!("edge {i}: missing `dst`")),
+            (_, _, None, _) => self.edge_error = Some(non_numeric("edge", i, "size")),
+            (.., None) => self.edge_error = Some(non_numeric("edge", i, "comm")),
+        }
+        Ok(())
+    }
+}
+
+fn non_numeric(what: &str, i: usize, key: &str) -> String {
+    format!("{what} {i}: missing or non-numeric `{key}`")
 }
 
 fn parse_field<'a, T: std::str::FromStr>(

@@ -567,12 +567,12 @@ fn solve_milp(
     } else {
         lower_bound
     };
+    // Only an incumbent can meet the bound: without one both sides may be
+    // +∞, and the search below decides.
     if best_makespan <= lower_bound + EPSILON {
-        return SolveOutcome::with_schedule(
-            best_schedule.expect("finite makespan implies a schedule"),
-            OptimalityStatus::Optimal,
-            0,
-        );
+        if let Some(schedule) = best_schedule {
+            return SolveOutcome::with_schedule(schedule, OptimalityStatus::Optimal, 0);
+        }
     }
     let horizon = if best_makespan.is_finite() {
         if integral {

@@ -54,7 +54,9 @@
 //! portfolio members, so a single solver thread is the correct
 //! concurrency: two windows in flight would contend for the pool.
 
-use crate::service::{PreparedRequest, Service, ServiceError, SolveRequest, PROTOCOL_VERSION};
+use crate::service::{
+    PreparedRequest, RequestDoc, Service, ServiceError, SolveRequest, PROTOCOL_VERSION,
+};
 use mals_sched::EngineConfig;
 use mals_util::{
     write_frame, CancelToken, Deadline, FrameError, FrameReader, Json, JsonWriter, ParallelConfig,
@@ -392,17 +394,17 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Parses and dispatches one frame: control op, or request admission.
+/// Decodes and dispatches one frame: control op, or request admission.
 fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, text: &str) {
-    let json = match Json::parse(text) {
-        Ok(json) => json,
+    let doc = match RequestDoc::parse(text) {
+        Ok(doc) => doc,
         Err(e) => {
             let error = ServiceError::BadRequest(format!("unparseable frame: {e}"));
             writer.send(&reject_frame(&Json::Null, &error).to_compact());
             return;
         }
     };
-    if let Some(op) = json.get("op").and_then(Json::as_str) {
+    if let Some(op) = doc.get("op").and_then(Json::as_str) {
         match op {
             "ping" => writer.send(&control_frame("pong").to_compact()),
             "shutdown" => {
@@ -411,15 +413,14 @@ fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, text: &str) {
             }
             other => {
                 let error = ServiceError::BadRequest(format!("unknown op `{other}`"));
-                writer.send(
-                    &reject_frame(json.get("id").unwrap_or(&Json::Null), &error).to_compact(),
-                );
+                writer
+                    .send(&reject_frame(doc.get("id").unwrap_or(&Json::Null), &error).to_compact());
             }
         }
         return;
     }
-    let id = json.get("id").cloned().unwrap_or(Json::Null);
-    let request = match SolveRequest::from_json(&json) {
+    let id = doc.get("id").cloned().unwrap_or(Json::Null);
+    let request = match doc.into_request() {
         Ok(request) => request,
         Err(e) => {
             writer.send(&reject_frame(&id, &e).to_compact());

@@ -32,7 +32,7 @@ use mals_sim::{
     peaks_from_json, peaks_to_json, schedule_from_json, schedule_to_json, validate,
     write_schedule_json, MemoryPeaks, Schedule,
 };
-use mals_util::{Deadline, IoSink, Json, JsonWriter, ParallelConfig};
+use mals_util::{Deadline, IoSink, Json, JsonError, JsonReader, JsonWriter, ParallelConfig};
 use std::fmt::{self, Write as _};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -159,7 +159,77 @@ impl SolveRequest {
     /// `threads`, `limits` and `seed` are optional (defaults: version 1,
     /// 1 thread, default limits, no seed); `solver`, `graph` and `platform`
     /// are required.
+    ///
+    /// A thin wrapper over [`SolveRequest::parse`]: the tree is rendered
+    /// and read back through the one request decoder.
     pub fn from_json(json: &Json) -> Result<Self, ServiceError> {
+        SolveRequest::parse(&json.to_compact())
+    }
+
+    /// Parses a request from JSON text: the one request decoder. The graph
+    /// streams from the text into a [`mals_dag::GraphBuilder`] with no
+    /// tree; the other members are read as small trees. A syntax error
+    /// anywhere in the text comes first; otherwise the members are checked
+    /// in a fixed order (version, solver, threads, seed, solvers, deadline,
+    /// limits, graph, platform) and the first failure is the error.
+    pub fn parse(text: &str) -> Result<Self, ServiceError> {
+        RequestDoc::parse(text)
+            .map_err(|e| ServiceError::BadRequest(e.to_string()))?
+            .into_request()
+    }
+}
+
+/// A request document as the one request decoder reads it: the `graph`
+/// member (its first occurrence) streamed into a [`mals_dag::GraphBuilder`]
+/// through [`serialize::read_json`], and every other top-level member kept
+/// as a small tree. The daemon reads its control members (`op`, `id`) from
+/// here before it decides to build a request.
+#[derive(Debug)]
+pub(crate) struct RequestDoc {
+    /// Every top-level member but `graph`, in document order.
+    members: Json,
+    graph: Option<serialize::GraphDraft>,
+}
+
+impl RequestDoc {
+    /// Lexes the whole document; only a syntax error fails here.
+    pub(crate) fn parse(text: &str) -> Result<Self, JsonError> {
+        let mut reader = JsonReader::new(text);
+        let mut members = Vec::new();
+        let mut graph = None;
+        if reader.peek() == Some(b'{') {
+            reader.begin_object()?;
+            while let Some(key) = reader.next_key()? {
+                if key != "graph" {
+                    let value = reader.value()?;
+                    members.push((key.into_owned(), value));
+                } else if graph.is_none() {
+                    graph = Some(serialize::read_json(&mut reader)?);
+                } else {
+                    reader.skip_value()?;
+                }
+            }
+        } else {
+            // Not an object, so no member is present.
+            reader.skip_value()?;
+        }
+        reader.finish()?;
+        Ok(RequestDoc {
+            members: Json::Obj(members),
+            graph,
+        })
+    }
+
+    /// The first top-level member `key` (never `graph`).
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
+        self.members.get(key)
+    }
+
+    /// Checks the members in a fixed order (version, solver, threads,
+    /// seed, solvers, deadline, limits, graph, platform) and builds the
+    /// request; the first failure is the error.
+    pub(crate) fn into_request(self) -> Result<SolveRequest, ServiceError> {
+        let json = &self.members;
         check_version(json)?;
         let solver = json
             .get("solver")
@@ -222,11 +292,13 @@ impl SolveRequest {
                 })?;
             }
         }
-        let graph = json
-            .get("graph")
+        let graph = self
+            .graph
             .ok_or_else(|| ServiceError::BadRequest("missing `graph`".into()))
-            .and_then(|doc| {
-                serialize::from_json(doc).map_err(|e| ServiceError::BadRequest(e.to_string()))
+            .and_then(|draft| {
+                draft
+                    .finish()
+                    .map_err(|e| ServiceError::BadRequest(e.to_string()))
             })?;
         let platform = json
             .get("platform")
@@ -245,12 +317,6 @@ impl SolveRequest {
             solvers,
             deadline_ms,
         })
-    }
-
-    /// Parses a request from JSON text.
-    pub fn parse(text: &str) -> Result<Self, ServiceError> {
-        let json = Json::parse(text).map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-        SolveRequest::from_json(&json)
     }
 }
 

@@ -124,7 +124,7 @@ impl WeightRanges {
 pub fn generate(params: &DaggenParams, weights: &WeightRanges, rng: &mut Pcg64) -> TaskGraph {
     assert!(params.size > 0, "cannot generate an empty DAG");
     let levels = build_levels(params, rng);
-    let mut builder = GraphBuilder::with_capacity(params.size, params.size * 2);
+    let mut builder = GraphBuilder::with_capacity(params.size, max_edges(params, &levels));
 
     // Create the tasks level by level, remembering the level of each task.
     let mut level_tasks: Vec<Vec<TaskId>> = Vec::with_capacity(levels.len());
@@ -146,8 +146,7 @@ pub fn generate(params: &DaggenParams, weights: &WeightRanges, rng: &mut Pcg64) 
     // the source's (possibly huge) adjacency list.
     let mut parents_of_task: Vec<TaskId> = Vec::new();
     for lvl in 1..level_tasks.len() {
-        let prev_width = level_tasks[lvl - 1].len();
-        let max_parents = ((params.density * prev_width as f64).round() as usize).max(1);
+        let max_parents = max_parents(params, level_tasks[lvl - 1].len());
         for &task in &level_tasks[lvl] {
             parents_of_task.clear();
             let n_parents = rng.uniform_usize(1, max_parents);
@@ -176,6 +175,21 @@ pub fn generate(params: &DaggenParams, weights: &WeightRanges, rng: &mut Pcg64) 
     let graph = builder.build().expect("generator edges are valid");
     debug_assert!(graph.validate().is_ok());
     graph
+}
+
+/// The most parents a task may draw when the level before it is
+/// `prev_width` wide.
+fn max_parents(params: &DaggenParams, prev_width: usize) -> usize {
+    ((params.density * prev_width as f64).round() as usize).max(1)
+}
+
+/// An upper bound on the edge count of a DAG with these levels: every task
+/// past the first level draws at most [`max_parents`] parents.
+fn max_edges(params: &DaggenParams, levels: &[usize]) -> usize {
+    levels
+        .windows(2)
+        .map(|pair| pair[1] * max_parents(params, pair[0]))
+        .sum()
 }
 
 /// Draws the number of tasks of each level until `size` tasks exist.

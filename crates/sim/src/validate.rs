@@ -25,7 +25,8 @@ pub enum ValidationError {
     MissingTask(TaskId),
     /// A placement references a processor that does not exist.
     InvalidProcessor(TaskId),
-    /// A task starts before time 0 or has `finish < start`.
+    /// A task starts before time 0, has `finish < start`, or has a
+    /// non-finite start or finish.
     NegativeTime(TaskId),
     /// A task's duration does not equal its processing time on the memory it
     /// was mapped to.
@@ -45,7 +46,8 @@ pub enum ValidationError {
     /// A cross-memory edge has no communication placement.
     MissingComm(EdgeId),
     /// A communication starts before its source task completes, finishes
-    /// after its destination task starts, or has the wrong duration.
+    /// after its destination task starts, has the wrong duration, or has a
+    /// non-finite start or finish.
     CommViolation {
         /// The offending edge.
         edge: EdgeId,
@@ -143,7 +145,12 @@ pub fn validate(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) -> 
                     errors.push(ValidationError::InvalidProcessor(task));
                     continue;
                 }
-                if p.start < -EPSILON || p.finish < p.start - EPSILON {
+                // A non-finite time would pass the tolerant comparisons
+                // below (∞ is "approximately" any finite duration).
+                if !(p.start.is_finite() && p.finish.is_finite())
+                    || p.start < -EPSILON
+                    || p.finish < p.start - EPSILON
+                {
                     errors.push(ValidationError::NegativeTime(task));
                 }
                 let mem = platform.memory_of(p.proc);
@@ -183,7 +190,9 @@ pub fn validate(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) -> 
             }
             (true, None) => errors.push(ValidationError::MissingComm(edge_id)),
             (true, Some(c)) => {
-                let ok = approx_le(src.finish, c.start)
+                let ok = c.start.is_finite()
+                    && c.finish.is_finite()
+                    && approx_le(src.finish, c.start)
                     && approx_le(c.finish, dst.start)
                     && approx_eq(c.duration(), edge.comm_cost);
                 if !ok {
@@ -518,6 +527,40 @@ mod tests {
             .errors
             .iter()
             .any(|e| matches!(e, ValidationError::NegativeTime(_))));
+    }
+
+    #[test]
+    fn non_finite_times_are_flagged() {
+        // ∞ − ∞ is NaN and ∞ is within any relative tolerance of a finite
+        // duration, so only an explicit check catches these.
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 1e308, 1e308);
+        let b = g.add_task("b", 1e308, 1e308);
+        let e = g.add_edge(a, b, 1.0, 1e308).unwrap();
+        let mut s = Schedule::for_graph(&g);
+        s.place_task(TaskPlacement {
+            task: a,
+            proc: 0,
+            start: 0.0,
+            finish: 1e308,
+        });
+        s.place_task(TaskPlacement {
+            task: b,
+            proc: 1,
+            start: f64::INFINITY,
+            finish: f64::INFINITY,
+        });
+        s.place_comm(CommPlacement {
+            edge: e,
+            start: 1e308,
+            finish: f64::INFINITY,
+        });
+        let report = validate(&g, &Platform::single_pair(10.0, 10.0), &s);
+        assert!(report.errors.contains(&ValidationError::NegativeTime(b)));
+        assert!(report
+            .errors
+            .contains(&ValidationError::CommViolation { edge: e }));
+        assert!(!report.is_valid());
     }
 
     #[test]

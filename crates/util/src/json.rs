@@ -2,10 +2,12 @@
 //!
 //! The workspace builds without a crates registry, so the service surface
 //! (`SolveRequest` / `SolveReport`) cannot lean on `serde`. This module is
-//! the stand-in: a plain [`Json`] tree, a recursive-descent parser (nesting
-//! capped at 128 levels, so hostile input is an error, not a stack
-//! overflow) and one deterministic emitter, [`JsonWriter`], which writes
-//! either a tree or a document streamed straight from the caller's data.
+//! the stand-in: a plain [`Json`] tree, one tokenizer, [`JsonReader`]
+//! (nesting capped at 128 levels, so hostile input is an error, not a
+//! stack overflow), which either builds a tree ([`Json::parse`]) or hands
+//! a decoder the document member by member, and one deterministic
+//! emitter, [`JsonWriter`], which writes either a tree or a document
+//! streamed straight from the caller's data.
 //! It covers the JSON the workspace produces and
 //! consumes — objects, arrays, strings with standard escapes (including
 //! `\uXXXX` with surrogate pairs), finite numbers, booleans and `null` —
@@ -18,6 +20,7 @@
 //! `null` — encoders with a meaningful infinity (e.g. unbounded memory
 //! capacities) must map it explicitly before building the tree.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 
@@ -126,17 +129,9 @@ impl Json {
     /// Parses a JSON document (the whole input must be one value). Arrays
     /// and objects nested more than 128 levels deep are an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut reader = JsonReader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -424,20 +419,52 @@ impl<W: io::Write> fmt::Write for IoSink<W> {
     }
 }
 
-/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
-/// recursive, so without a cap a hostile document of a few kilobytes of
-/// `[` overflows the thread stack and aborts the process; the service's
-/// documents nest fewer than ten levels.
+/// Deepest array/object nesting [`JsonReader`] (and so [`Json::parse`])
+/// accepts. Tree parsing is recursive, so without a cap a hostile document
+/// of a few kilobytes of `[` overflows the thread stack and aborts the
+/// process; the service's documents nest fewer than ten levels.
 const MAX_NESTING: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The one JSON tokenizer of the workspace: a pull reader over a document.
+///
+/// [`Json::parse`] drives it to build a tree. A decoder that knows the shape
+/// it expects (the service's request reader) drives it member by member and
+/// keeps only the values it needs, with no tree in between. Both share all
+/// of the lexing here, so they accept the same documents and fail with the
+/// same offset and message, nesting cap included.
+///
+/// An object is read as [`JsonReader::begin_object`], then
+/// [`JsonReader::next_key`] until it returns `None`; an array as
+/// [`JsonReader::begin_array`], then [`JsonReader::next_item`] until it
+/// returns `false`. After each key or item comes exactly one value: a nested
+/// container, [`JsonReader::value`], [`JsonReader::read_f64`],
+/// [`JsonReader::read_str`] or [`JsonReader::skip_value`]. Once the
+/// top-level value is read, [`JsonReader::finish`] rejects trailing
+/// characters. After an error the position is unspecified; stop reading.
+#[derive(Debug, Clone)]
+pub struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// A container was just opened: its first item or its closing bracket
+    /// comes next, with no separator before it.
+    opened: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader positioned at the document's first value.
+    pub fn new(text: &'a str) -> Self {
+        let mut reader = JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+            opened: false,
+        };
+        reader.skip_ws();
+        reader
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -445,8 +472,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -455,8 +486,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The first byte of the next value (`None` at the end of the input).
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -468,8 +500,137 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Opens the object at the cursor.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// Opens the array at the cursor.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(bracket) && self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Steps to the next member of the innermost open object and returns
+    /// its key, leaving the cursor at the member's value; `None` once the
+    /// object has closed. Keys without escapes are borrowed from the input.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Steps to the next item of the innermost open array: `true` with the
+    /// cursor at the item, `false` once the array has closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.more(b']')
+    }
+
+    /// Consumes the separator before the next item of the innermost
+    /// container (`true`), or its closing bracket (`false`).
+    fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if std::mem::take(&mut self.opened) {
+            if self.peek() != Some(close) {
+                return Ok(true);
+            }
+        } else {
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    return Ok(true);
+                }
+                Some(b) if b == close => {}
+                _ => return Err(self.err(format!("expected `,` or `{}`", close as char))),
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(false)
+    }
+
+    /// Reads the value at the cursor as a tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    pairs.push((key.into_owned(), value));
+                }
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
+            Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Reads the value at the cursor; `Some` when it is a number (what
+    /// [`Json::as_f64`] of [`JsonReader::value`] gives, without the tree).
+    pub fn read_f64(&mut self) -> Result<Option<f64>, JsonError> {
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.number().map(Some)
+        } else {
+            self.skip_value().map(|()| None)
+        }
+    }
+
+    /// Reads the value at the cursor; `Some` when it is a string.
+    pub fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip_value().map(|()| None)
+        }
+    }
+
+    /// Reads past the value at the cursor, checking it as
+    /// [`JsonReader::value`] does.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        self.value().map(drop)
+    }
+
+    /// Ends the document: only whitespace may follow the top-level value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after the document"))
+        }
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -477,108 +638,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'[' | b'{') if self.depth == MAX_NESTING => {
-                Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")))
-            }
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.depth += 1;
-                let array = self.array();
-                self.depth -= 1;
-                array
-            }
-            Some(b'{') => {
-                self.depth += 1;
-                let object = self.object();
-                self.depth -= 1;
-                object
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            let start = self.pos;
-            // Copy unescaped runs wholesale (the common case).
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?,
-                );
-            }
+            let run = self.plain_run();
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
@@ -586,6 +664,21 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Skips the unescaped run at the cursor and returns it. The run stops
+    /// at an ASCII byte or the end of the input, and ASCII bytes never
+    /// occur inside a multi-byte UTF-8 sequence, so both ends are char
+    /// boundaries.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
     }
 
     fn escape(&mut self) -> Result<char, JsonError> {
@@ -604,7 +697,7 @@ impl<'a> Parser<'a> {
                 let hi = self.hex4()?;
                 let code = if (0xD800..0xDC00).contains(&hi) {
                     // Surrogate pair: a second `\uXXXX` must follow.
-                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                    if self.bytes()[self.pos..].starts_with(b"\\u") {
                         self.pos += 2;
                         let lo = self.hex4()?;
                         if !(0xDC00..0xE000).contains(&lo) {
@@ -625,7 +718,7 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let slice = self
-            .bytes
+            .bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let text = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
@@ -634,21 +727,31 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Lexes a number token and converts it as `str::parse::<f64>` does,
+    /// rejecting what that rejects and any non-finite result.
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let int_start = self.pos;
+        let mut int = 0u64;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
             self.pos += 1;
         }
+        let int_digits = self.pos - int_start;
+        let mut plain = true;
         if self.peek() == Some(b'.') {
+            plain = false;
             self.pos += 1;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            plain = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -657,12 +760,17 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        if plain && (1..=15).contains(&int_digits) {
+            // An integer below 10¹⁵ < 2⁵³ converts to f64 exactly, which is
+            // the correctly rounded value `str::parse` returns; the sign is
+            // applied after, so `-0` stays `-0.0`.
+            let x = int as f64;
+            return Ok(if negative { -x } else { x });
+        }
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .ok()
             .filter(|x| x.is_finite())
-            .map(Json::Num)
             .ok_or_else(|| self.err(format!("invalid number `{text}`")))
     }
 }
@@ -875,6 +983,102 @@ mod tests {
         let mut sink = IoSink::new(Broken);
         assert!(JsonWriter::compact(&mut sink).value(&doc).is_err());
         assert_eq!(sink.finish().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn integer_fast_path_matches_str_parse_bit_for_bit() {
+        let mut tokens: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "007",
+            "-007",
+            "00",
+            "1.",
+            "-.5",
+            "1e5",
+            "1E+2",
+            "2e-1",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "123456789012345678901234567890",
+            "1e308",
+            "5e-324",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let digits = (x % 18) as u32 + 1;
+            let magnitude = x % 10u64.pow(digits);
+            let sign = if x & (1 << 40) == 0 { "" } else { "-" };
+            tokens.push(format!("{sign}{magnitude}"));
+        }
+        for token in &tokens {
+            let expected = token.parse::<f64>().unwrap();
+            let got = Json::parse(token).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), expected.to_bits(), "{token}");
+        }
+        // The accepted set is unchanged: what `str::parse` rejects (or
+        // takes to infinity) is still an error, at the end of the token.
+        for bad in ["-", "1e", "1e+", "-e5", "1e999", "-1e999"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(err.offset, bad.len(), "{bad}");
+            assert_eq!(err.message, format!("invalid number `{bad}`"));
+        }
+    }
+
+    #[test]
+    fn pull_reader_walks_a_document_without_a_tree() {
+        let text = r#" {"a": [1, -2.5, "x"], "b\u0021": {"c": null}, "d": "e\"f"} "#;
+        let mut r = JsonReader::new(text);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.read_f64().unwrap(), Some(1.0));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.read_f64().unwrap(), Some(-2.5));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.read_f64().unwrap(), None); // a string, read past
+        assert!(!r.next_item().unwrap());
+        let key = r.next_key().unwrap().unwrap();
+        assert_eq!(key, "b!");
+        assert!(matches!(key, Cow::Owned(_)));
+        assert_eq!(r.value().unwrap(), Json::obj([("c", Json::Null)]));
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("d")));
+        assert_eq!(r.read_str().unwrap().as_deref(), Some("e\"f"));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+
+        // The reader reports what `Json::parse` reports, where it reports it.
+        for bad in ["{\"a\": 1,}", "{\"a\" 1}", "[1 2]", "{\"a\": [}", "{} x"] {
+            let expected = Json::parse(bad).unwrap_err();
+            let mut r = JsonReader::new(bad);
+            let got = (|| {
+                r.begin_object().or_else(|_| r.begin_array())?;
+                loop {
+                    if bad.starts_with('{') {
+                        if r.next_key()?.is_none() {
+                            break;
+                        }
+                    } else if !r.next_item()? {
+                        break;
+                    }
+                    r.skip_value()?;
+                }
+                r.clone().finish()
+            })()
+            .unwrap_err();
+            assert_eq!(got, expected, "{bad}");
+        }
     }
 
     #[test]

@@ -305,3 +305,53 @@ fn graceful_shutdown_drains_admitted_work_before_closing() {
     assert!(handle.is_shutting_down());
     handle.join();
 }
+
+#[path = "support/decode_corpus.rs"]
+mod decode_corpus;
+
+/// The decode corpus (byte flips and truncations included) through one
+/// connection: every frame gets exactly one reply, a reject frame carries
+/// the code and message the request decoder gives, and `ping` still
+/// answers afterwards.
+#[test]
+fn every_corpus_frame_gets_exactly_one_reply_and_the_connection_survives() {
+    let handle = start_daemon(DaemonConfig {
+        threads: 1,
+        ..DaemonConfig::default()
+    });
+    let (mut reader, mut write_half) = connect(&handle);
+    let mut sent = 0;
+    for case in decode_corpus::corpus() {
+        // A frame is one line (and a trailing `\r` is stripped).
+        if case.text.contains(['\n', '\r']) {
+            continue;
+        }
+        write_frame(&mut write_half, &case.text).unwrap();
+        sent += 1;
+        let reply = read_one(&mut reader);
+        let expected = match Json::parse(&case.text) {
+            Err(e) => Some(format!("bad request: unparseable frame: {e}")),
+            Ok(json) if json.get("op").and_then(Json::as_str).is_some() => continue,
+            Ok(_) => SolveRequest::parse(&case.text).err().map(|e| e.to_string()),
+        };
+        match expected {
+            Some(message) => {
+                assert_eq!(error_code(&reply), Some("bad_request"), "{}", case.label);
+                let got = reply.get("error").and_then(|e| e.get("message"));
+                assert_eq!(
+                    got.and_then(Json::as_str),
+                    Some(&*message),
+                    "{}",
+                    case.label
+                );
+            }
+            None => assert!(reply.get("solver_key").is_some(), "{}: {reply}", case.label),
+        }
+    }
+    assert!(sent > 300, "{sent} frames");
+    write_frame(&mut write_half, r#"{"op":"ping"}"#).unwrap();
+    let pong = read_one(&mut reader);
+    assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
+    handle.shutdown();
+    handle.join();
+}

@@ -139,6 +139,33 @@ fn cyclic_graphs_are_rejected_with_an_error_by_every_solver() {
     }
 }
 
+/// Every weight finite, but the sums overflow: the makespan horizon of two
+/// 1e308-time tasks is +∞. No solver may hand out a schedule whose
+/// makespan and peaks cannot be represented (the MILP used to panic here,
+/// MemHEFT to report a `null` makespan as valid).
+#[test]
+fn graphs_whose_weight_sums_overflow_are_rejected_by_every_solver() {
+    let mut graph = TaskGraph::new();
+    let a = graph.add_task("T0", 1e308, 1e308);
+    let b = graph.add_task("T1", 1e308, 1e308);
+    graph.add_edge(a, b, 1e308, 1e308).unwrap();
+    for platform in [
+        Platform::single_pair(5.0, 5.0),
+        Platform::single_pair(f64::INFINITY, f64::INFINITY),
+    ] {
+        for entry in registry().entries() {
+            let key = entry.info.key;
+            if key == "portfolio" {
+                continue;
+            }
+            let outcome = entry.build(0).solve(&graph, &platform, &ctx());
+            assert_eq!(outcome.status, OptimalityStatus::Infeasible, "{key}");
+            let error = outcome.error.unwrap_or_default();
+            assert!(error.starts_with("invalid task graph: "), "{key}: {error}");
+        }
+    }
+}
+
 #[test]
 fn engine_batch_api_agrees_with_single_solves() {
     let graphs: Vec<TaskGraph> = (0..3)
