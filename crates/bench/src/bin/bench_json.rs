@@ -21,6 +21,7 @@ use mals_exact::{solver_registry, BranchAndBound, MilpBackend};
 use mals_experiments::{generated_request, heft_baseline, SolveRequest};
 use mals_platform::Platform;
 use mals_sched::{Engine, EngineConfig, Heft, MemHeft, MemMinMin, Scheduler, SolveCtx, Solver};
+use mals_sim::validate;
 use mals_util::{parallel_map, ParallelConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -303,6 +304,21 @@ fn benches(quick: bool) -> Vec<Bench> {
         let baseline = heft_baseline(&huge_graph, &platform);
         let bound = baseline.peaks.max();
         let huge_platform = platform.with_memory_bounds(bound, bound);
+        // `validate` on that solve's schedule, built outside the timing: the
+        // flow and transfer checks plus the per-memory residency sweep.
+        let huge_schedule = MemHeft::new()
+            .schedule(&huge_graph, &huge_platform)
+            .expect("MemHEFT is feasible at the α = 1 bound");
+        let (graph, validate_platform) = (Rc::clone(&huge_graph), huge_platform.clone());
+        set.push(Bench {
+            id: "sim/validate-100k".into(),
+            run: Box::new(move || {
+                let report = validate(&graph, &validate_platform, &huge_schedule);
+                std::hint::black_box(report.is_valid());
+            }),
+            min_samples: Some(3),
+            setup: None,
+        });
         let graph = Rc::clone(&huge_graph);
         set.push(Bench {
             id: "sched/memheft-100k".into(),

@@ -260,7 +260,7 @@ impl<'a> PartialSchedule<'a> {
         for task in self.graph.task_ids().filter(|&t| self.is_scheduled(t)) {
             schedule.place_task(*fork.task(task).expect("a fork keeps what it was lent"));
             for &e in self.graph.in_edges(task) {
-                if let Some(&comm) = fork.comm(e) {
+                if let Some(comm) = fork.comm(e) {
                     schedule.place_comm(comm);
                 }
             }

@@ -116,9 +116,15 @@ fn radix_sort(events: &mut Vec<Event>) {
 }
 
 /// The sweep-line input shared by [`memory_profiles`] and [`memory_peaks`]:
-/// `±size` events per memory (indexed by [`Memory::index`]), sorted by time
-/// with simultaneous events kept in file order, so the running sum at each
-/// time is deterministic.
+/// the `±size` events of memory `mem`, sorted by time with simultaneous
+/// events kept in file order, so the running sum at each time is
+/// deterministic.
+///
+/// One memory at a time: the buffer is reserved once at 2 events per edge,
+/// an upper bound whose untouched tail is never resident, and is never
+/// grown. The events are pushed in edge order, so each memory sees the
+/// same sequence, and the stable sort the same permutation, as when both
+/// memories were filled in one pass.
 ///
 /// Files whose producer or consumer is not placed are ignored (the validator
 /// reports those as missing-placement errors separately). A cross-memory edge
@@ -130,15 +136,16 @@ fn residency_events(
     graph: &TaskGraph,
     platform: &Platform,
     schedule: &Schedule,
-) -> [Vec<Event>; 2] {
-    let mut events: [Vec<Event>; 2] = [Vec::new(), Vec::new()];
-    let mut resident = |mem: Memory, from: f64, until: f64, size: f64| {
+    mem: Memory,
+) -> Vec<Event> {
+    let mut events = Vec::with_capacity(2 * graph.n_edges());
+    let mut resident = |from: f64, until: f64, size: f64| {
         let from = from.max(0.0);
         if until <= from + EPSILON {
             return;
         }
-        events[mem.index()].push(Event::new(from, size));
-        events[mem.index()].push(Event::new(until, -size));
+        events.push(Event::new(from, size));
+        events.push(Event::new(until, -size));
     };
     for edge_id in graph.edge_ids() {
         let edge = graph.edge(edge_id);
@@ -151,19 +158,22 @@ fn residency_events(
         let mem_src = platform.memory_of(src.proc);
         let mem_dst = platform.memory_of(dst.proc);
         if mem_src == mem_dst {
-            resident(mem_src, src.start, dst.finish, edge.size);
+            if mem_src == mem {
+                resident(src.start, dst.finish, edge.size);
+            }
         } else {
             let (transfer_start, transfer_finish) = match schedule.comm(edge_id) {
                 Some(c) => (c.start, c.finish),
                 None => (dst.start, dst.start),
             };
-            resident(mem_src, src.start, transfer_finish, edge.size);
-            resident(mem_dst, transfer_start, dst.finish, edge.size);
+            if mem_src == mem {
+                resident(src.start, transfer_finish, edge.size);
+            } else {
+                resident(transfer_start, dst.finish, edge.size);
+            }
         }
     }
-    for ev in &mut events {
-        radix_sort(ev);
-    }
+    radix_sort(&mut events);
     events
 }
 
@@ -198,9 +208,10 @@ pub fn memory_profiles(
     platform: &Platform,
     schedule: &Schedule,
 ) -> [Staircase; 2] {
-    residency_events(graph, platform, schedule).map(|ev| {
-        let mut bps: Vec<(f64, f64)> = Vec::with_capacity(ev.len() + 1);
-        fold_breakpoints(&ev, |t, v| bps.push((t, v)));
+    Memory::BOTH.map(|mem| {
+        let events = residency_events(graph, platform, schedule, mem);
+        let mut bps: Vec<(f64, f64)> = Vec::with_capacity(events.len() + 1);
+        fold_breakpoints(&events, |t, v| bps.push((t, v)));
         Staircase::from_breakpoints(bps)
     })
 }
@@ -213,10 +224,10 @@ pub fn memory_profiles(
 /// value is not `approx_eq` to the last kept one, exactly as
 /// `Staircase::from_breakpoints` merges them.
 pub fn memory_peaks(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) -> MemoryPeaks {
-    let peak = |ev: &[Event]| {
+    let peak = |mem: Memory| {
         let mut kept: Option<f64> = None;
         let mut peak = f64::NEG_INFINITY;
-        fold_breakpoints(ev, |_, v| {
+        fold_breakpoints(&residency_events(graph, platform, schedule, mem), |_, v| {
             if !kept.is_some_and(|k| approx_eq(k, v)) {
                 kept = Some(v);
                 peak = peak.max(v);
@@ -224,10 +235,9 @@ pub fn memory_peaks(graph: &TaskGraph, platform: &Platform, schedule: &Schedule)
         });
         peak.max(0.0)
     };
-    let events = residency_events(graph, platform, schedule);
     MemoryPeaks {
-        blue: peak(&events[Memory::Blue.index()]),
-        red: peak(&events[Memory::Red.index()]),
+        blue: peak(Memory::Blue),
+        red: peak(Memory::Red),
     }
 }
 

@@ -46,10 +46,17 @@ impl CommPlacement {
 }
 
 /// A (possibly partial) schedule of a task graph on a dual-memory platform.
+///
+/// Transfers are stored per edge as a bare `(start, finish)` pair, 16 bytes,
+/// plus one presence bit: the edge id is the slot's index. A slot that was
+/// never placed keeps `(0, 0)`, so the derived equality compares placed
+/// transfers only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     tasks: Vec<Option<TaskPlacement>>,
-    comms: Vec<Option<CommPlacement>>,
+    comm_times: Vec<(f64, f64)>,
+    /// Bit `e % 64` of word `e / 64` is set when edge `e` has a transfer.
+    comm_placed: Vec<u64>,
 }
 
 impl Schedule {
@@ -58,7 +65,8 @@ impl Schedule {
     pub fn empty(n_tasks: usize, n_edges: usize) -> Self {
         Schedule {
             tasks: vec![None; n_tasks],
-            comms: vec![None; n_edges],
+            comm_times: vec![(0.0, 0.0); n_edges],
+            comm_placed: vec![0; n_edges.div_ceil(64)],
         }
     }
 
@@ -74,7 +82,9 @@ impl Schedule {
 
     /// Records the placement of a cross-memory communication.
     pub fn place_comm(&mut self, placement: CommPlacement) {
-        self.comms[placement.edge.index()] = Some(placement);
+        let e = placement.edge.index();
+        self.comm_times[e] = (placement.start, placement.finish);
+        self.comm_placed[e / 64] |= 1 << (e % 64);
     }
 
     /// Placement of `task`, if it has been scheduled.
@@ -85,8 +95,14 @@ impl Schedule {
 
     /// Placement of the communication on `edge`, if any.
     #[inline]
-    pub fn comm(&self, edge: EdgeId) -> Option<&CommPlacement> {
-        self.comms[edge.index()].as_ref()
+    pub fn comm(&self, edge: EdgeId) -> Option<CommPlacement> {
+        let e = edge.index();
+        let (start, finish) = self.comm_times[e];
+        (self.comm_placed[e / 64] >> (e % 64) & 1 == 1).then_some(CommPlacement {
+            edge,
+            start,
+            finish,
+        })
     }
 
     /// Number of tasks already placed.
@@ -102,7 +118,7 @@ impl Schedule {
 
     /// Number of edge slots.
     pub fn n_edges(&self) -> usize {
-        self.comms.len()
+        self.comm_times.len()
     }
 
     /// Returns `true` if every task of `graph` has a placement.
@@ -115,9 +131,10 @@ impl Schedule {
         self.tasks.iter().filter_map(|p| p.as_ref())
     }
 
-    /// Iterates over the communication placements recorded so far.
-    pub fn comm_placements(&self) -> impl Iterator<Item = &CommPlacement> {
-        self.comms.iter().filter_map(|p| p.as_ref())
+    /// Iterates over the communication placements recorded so far, in edge
+    /// order.
+    pub fn comm_placements(&self) -> impl Iterator<Item = CommPlacement> + '_ {
+        (0..self.n_edges()).filter_map(|e| self.comm(EdgeId::from_index(e)))
     }
 
     /// The memory on which `task` executes under `platform`, if placed.
@@ -272,6 +289,46 @@ mod tests {
         let (g, t) = dex();
         let s = s1(&g, t);
         assert_eq!(s.total_comm_time(), 2.0);
+    }
+
+    #[test]
+    fn comm_presence_takes_part_in_equality() {
+        let (g, t) = dex();
+        let s = s1(&g, t);
+        assert_eq!(s, s.clone());
+        // A transfer at the times an unplaced slot holds differs from no
+        // transfer at all.
+        let e13 = g.edge_between(t[0], t[2]).unwrap();
+        let mut with = s.clone();
+        with.place_comm(CommPlacement {
+            edge: e13,
+            start: 0.0,
+            finish: 0.0,
+        });
+        assert_ne!(s, with);
+        assert_eq!(
+            with.comm(e13).map(|c| (c.start, c.finish)),
+            Some((0.0, 0.0))
+        );
+        assert_eq!(s.comm(e13), None);
+    }
+
+    #[test]
+    fn comm_placements_come_in_edge_order() {
+        let mut s = Schedule::empty(0, 130);
+        for e in [129, 3, 64, 63] {
+            s.place_comm(CommPlacement {
+                edge: EdgeId::from_index(e),
+                start: e as f64,
+                finish: e as f64 + 1.0,
+            });
+        }
+        let placed: Vec<_> = s
+            .comm_placements()
+            .map(|c| (c.edge.index(), c.start))
+            .collect();
+        assert_eq!(placed, [(3, 3.0), (63, 63.0), (64, 64.0), (129, 129.0)]);
+        assert_eq!(s.n_edges(), 130);
     }
 
     #[test]

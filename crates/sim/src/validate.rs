@@ -459,6 +459,43 @@ mod tests {
             .any(|e| matches!(e, ValidationError::CommViolation { .. })));
     }
 
+    /// A transfer placed with NaN times is still placed: the validator
+    /// rejects its times, it does not report the transfer missing.
+    #[test]
+    fn nan_comm_is_a_placed_comm() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 1.0, 1.0);
+        let b = g.add_task("b", 1.0, 1.0);
+        let e = g.add_edge(a, b, 1.0, 1.0).unwrap();
+        let mut s = Schedule::for_graph(&g);
+        s.place_task(TaskPlacement {
+            task: a,
+            proc: 0,
+            start: 0.0,
+            finish: 1.0,
+        });
+        s.place_task(TaskPlacement {
+            task: b,
+            proc: 1,
+            start: 2.0,
+            finish: 3.0,
+        });
+        s.place_comm(CommPlacement {
+            edge: e,
+            start: f64::NAN,
+            finish: f64::NAN,
+        });
+        let platform = Platform::single_pair(10.0, 10.0);
+        let report = validate(&g, &platform, &s);
+        assert!(report
+            .errors
+            .contains(&ValidationError::CommViolation { edge: e }));
+        assert!(!report
+            .errors
+            .iter()
+            .any(|er| matches!(er, ValidationError::MissingComm(_))));
+    }
+
     #[test]
     fn spurious_comm_detected() {
         let mut g = TaskGraph::new();

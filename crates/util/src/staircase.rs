@@ -337,9 +337,18 @@ impl Staircase {
     /// Because `pred` is genuinely monotone over the sorted `x`, the
     /// chunk-level then in-chunk searches find the same unique boundary a
     /// flat `partition_point` would — bit-identical, not just equivalent.
+    ///
+    /// Mutations cluster at the horizon, so the last chunk is tried before
+    /// the chunk-level search; `pred` being monotone, the boundary is the
+    /// same either way.
     #[inline]
     fn pp(&self, pred: impl Fn(f64) -> bool) -> Pos {
-        let c = self.first_x.partition_point(|&x| pred(x));
+        let last = self.first_x.len() - 1;
+        let c = if pred(self.first_x[last]) {
+            last + 1
+        } else {
+            self.first_x[..last].partition_point(|&x| pred(x))
+        };
         if c == 0 {
             return Pos { chunk: 0, idx: 0 };
         }
