@@ -181,7 +181,7 @@ fn benches(quick: bool) -> Vec<Bench> {
     }
 
     // The engine layer: a batch of small DAGs solved through one `Engine`
-    // session (registry lookup once, a 2-thread pool spawned once).
+    // session (registry lookup once; MemMinMin solves spawn no thread).
     {
         let batch: Vec<TaskGraph> = (0..16).map(|i| small_rand_dag(12, 900 + i)).collect();
         let batch_platform = bounded_single_pair(&batch[0]);
@@ -201,7 +201,7 @@ fn benches(quick: bool) -> Vec<Bench> {
     }
 
     // The portfolio racer (PR 6): all five default heuristic members racing
-    // on a 4-thread pool over one medium DAG, winner by best makespan.
+    // on 4 threads over one medium DAG, winner by best makespan.
     // Guards the race overhead on top of the members themselves — the race
     // should cost about one slowest-member solve, not the sum of all five.
     {

@@ -5,6 +5,7 @@
 //! equivalence tests of the facade exercise the exact instances the benches
 //! time.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mals_dag::TaskGraph;

@@ -37,6 +37,7 @@
 //! assert!(g.validate().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algo;

@@ -74,7 +74,7 @@ impl Solver for BranchAndBound {
     /// `ctx.cancel` once per expanded node (and inside the heuristic
     /// incumbent seeding, once per commit): when the signal trips, the
     /// search stops without a proof and returns the incumbent found so far,
-    /// if any. The pool is unused: the search is sequential.
+    /// if any. The thread budget is unused: the search is sequential.
     fn solve(&self, graph: &TaskGraph, platform: &Platform, ctx: &SolveCtx) -> SolveOutcome {
         if let Some(rejected) = reject_invalid(graph) {
             return rejected;

@@ -33,6 +33,7 @@
 //!   memory-feasibility) shared by both exact solvers for pruning and
 //!   plotted as the "Lower bound" series of Figure 11.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -22,7 +22,7 @@ fn main() {
     if let Some(tasks) = options.tasks {
         config.n_tasks = tasks;
     }
-    if let Some(parallel) = options.parallel() {
+    if let Some(parallel) = cli::parallel_or_exit(&options) {
         config.parallel = parallel;
     }
     // `lp-export` prints the first DAG of the campaign set instead of solving.

@@ -21,7 +21,7 @@ fn main() {
     if let Some(tasks) = options.tasks {
         config.n_tasks = tasks;
     }
-    if let Some(parallel) = options.parallel() {
+    if let Some(parallel) = cli::parallel_or_exit(&options) {
         config.parallel = parallel;
     }
     if cli::handle_lp_export(&options, &Platform::single_pair(0.0, 0.0), || {

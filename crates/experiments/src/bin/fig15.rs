@@ -18,7 +18,7 @@ fn main() {
     if let Some(tiles) = options.tiles {
         config.tiles = tiles;
     }
-    if let Some(parallel) = options.parallel() {
+    if let Some(parallel) = cli::parallel_or_exit(&options) {
         config.parallel = parallel;
     }
     eprintln!(

@@ -10,8 +10,8 @@
 //! `mals_experiments::daemon` until SIGTERM / SIGINT (ctrl-c) or an in-band
 //! `{"op":"shutdown"}` frame starts a graceful shutdown: stop accepting,
 //! refuse new admissions with `queue_full`, drain queued work, exit 0.
-//! `--threads` sizes the engine pool that races portfolio members
-//! (default: all cores); every other solve is sequential.
+//! `--threads` is the thread budget a portfolio request races its members
+//! on (default: all cores); every other solve is sequential.
 
 use mals_experiments::daemon::{Daemon, DaemonConfig};
 use std::sync::atomic::{AtomicBool, Ordering};

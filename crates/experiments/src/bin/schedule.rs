@@ -21,8 +21,8 @@
 //!
 //! The flags override the corresponding request fields, so one request file
 //! can be replayed against every registered solver. `--threads` (the
-//! request's `threads` field) sizes the pool that races portfolio members;
-//! every other solve is sequential:
+//! request's `threads` field) is the thread budget a portfolio races its
+//! members on; every other solve is sequential:
 //!
 //! ```text
 //! schedule --print-request > request.json

@@ -8,7 +8,8 @@
 //! spreads independent solves over threads — the DAGs of a campaign or the
 //! memory bounds of a single-DAG sweep — and can also be set via the
 //! `MALS_THREADS` environment variable (`--threads` wins when both are
-//! given, `0` means all cores); `minmem` rejects it.
+//! given, `0` means all cores; a value that is not a thread count exits 2);
+//! `minmem` rejects it.
 
 use crate::campaign::CampaignIo;
 use mals_exact::{ExactBackendKind, MilpBackend};
@@ -43,11 +44,13 @@ pub struct Options {
 impl Options {
     /// The thread configuration requested by `--threads`, falling back to
     /// the `MALS_THREADS` environment variable; `None` when neither is set
-    /// (callers keep their default).
-    pub fn parallel(&self) -> Option<ParallelConfig> {
-        self.threads
-            .map(ParallelConfig::with_threads)
-            .or_else(ParallelConfig::env_override)
+    /// (callers keep their default). An invalid `MALS_THREADS` is an error
+    /// naming the variable.
+    pub fn parallel(&self) -> Result<Option<ParallelConfig>, String> {
+        match self.threads {
+            Some(threads) => Ok(Some(ParallelConfig::with_threads(threads))),
+            None => ParallelConfig::env_override(),
+        }
     }
 
     /// Resolves the exact-series solver of a binary into a registry key
@@ -144,6 +147,16 @@ pub fn parse_or_exit() -> Options {
             std::process::exit(2);
         }
     }
+}
+
+/// [`Options::parallel`], printing the error and exiting with status 2 when
+/// `MALS_THREADS` is set to anything but a thread count — a setting must
+/// never be accepted and then silently ignored.
+pub fn parallel_or_exit(options: &Options) -> Option<ParallelConfig> {
+    options.parallel().unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
 }
 
 /// Exits with status 2 when `--exact-backend` was passed to a binary that
@@ -307,7 +320,7 @@ mod tests {
         let o = parse_strs(&["--threads", "4"]).unwrap();
         // The flag always wins over the environment, so this is stable no
         // matter what MALS_THREADS is set to in the surrounding shell.
-        assert_eq!(o.parallel().unwrap().resolved_threads(), 4);
+        assert_eq!(o.parallel().unwrap().unwrap().resolved_threads(), 4);
     }
 
     #[test]

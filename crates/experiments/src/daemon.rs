@@ -50,9 +50,10 @@
 //! solver once per window (cross-request batch formation — the same
 //! amortisation `Engine::solve_batch` gives a homogeneous batch) and
 //! contains a panicking solve to its own request (an `internal` error
-//! report), so the one solver thread survives it. The pool races
-//! portfolio members, so a single solver thread is the correct
-//! concurrency: two windows in flight would contend for the pool.
+//! report), so the one solver thread survives it. A portfolio request
+//! races its members on up to the session's thread budget, so a single
+//! solver thread is the correct concurrency: two windows in flight would
+//! contend for the same cores.
 
 use crate::service::{
     PreparedRequest, RequestDoc, Service, ServiceError, SolveRequest, PROTOCOL_VERSION,
@@ -88,8 +89,9 @@ pub struct DaemonConfig {
     /// Largest window the solver thread drains per pass; within a window
     /// each distinct solver is built once (cross-request batching).
     pub batch_max: usize,
-    /// Worker threads of the long-lived engine pool, which races portfolio
-    /// members (`0` = all cores). Every other solve is sequential.
+    /// Thread budget of the session: a portfolio request races its members
+    /// on up to this many threads (`0` = all cores). Every other solve is
+    /// sequential.
     pub threads: usize,
     /// Frame-size cap per connection; an oversized frame is rejected
     /// without killing the connection.
@@ -258,7 +260,7 @@ impl Daemon {
 
     /// [`Daemon::start`] over a caller-built session (a custom registry,
     /// as in the fault-injection tests); `config.threads` is unused, the
-    /// session's engine owns the pool.
+    /// session's engine holds the thread budget.
     pub fn start_with(config: DaemonConfig, service: Service) -> io::Result<DaemonHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;

@@ -21,6 +21,7 @@
 //! binary restores the paper's instance sizes. The scaling is always printed,
 //! never silent.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

@@ -88,9 +88,9 @@ pub struct SolveRequest {
     pub platform: Platform,
     /// Registry key of the solver (`"memheft"`, `"milp"`, …).
     pub solver: String,
-    /// Worker threads of the session pool, which races portfolio members
-    /// (`0` = all cores; results are bit-identical for every setting).
-    /// Every other solve is sequential.
+    /// Thread budget of the session: a portfolio races its members on up
+    /// to this many threads (`0` = all cores; results are bit-identical for
+    /// every setting). Every other solve is sequential.
     pub threads: usize,
     /// Budgets for exact solvers.
     pub limits: SolveLimits,
@@ -242,9 +242,9 @@ impl RequestDoc {
                 ServiceError::BadRequest("`threads` must be a non-negative integer".into())
             })?,
         };
-        // The pool spawns one OS thread per requested worker; an absurd
-        // count from an untrusted document must fail as a named error, not
-        // as a thread-spawn abort.
+        // A portfolio race spawns up to one OS thread per requested thread;
+        // an absurd count from an untrusted document must fail as a named
+        // error, not as a thread-spawn abort.
         if threads > MAX_REQUEST_THREADS {
             return Err(ServiceError::BadRequest(format!(
                 "`threads` must be at most {MAX_REQUEST_THREADS} (0 = all cores)"
@@ -432,7 +432,9 @@ pub struct SolveReport {
     pub nodes: u64,
     /// Wall-clock solve time in milliseconds.
     pub wall_time_ms: f64,
-    /// Worker threads used.
+    /// The session's thread budget (resolved, `0` never appears): the
+    /// threads a portfolio may race its members on, not a count of the
+    /// threads this solve used — every other solve is sequential.
     pub threads: usize,
     /// The request's seed, echoed for provenance.
     pub seed: Option<u64>,
@@ -870,14 +872,16 @@ pub type PreparedRequest<'a> = (&'a SolveRequest, Option<Deadline>);
 /// every request in a drained queue window that names the same solver.
 type SolverCache = Vec<((String, u64), Box<dyn Solver>)>;
 
-/// A service session: owns the [`Engine`] (registry + worker pool + default
-/// limits) and turns [`SolveRequest`]s into [`SolveReport`]s.
+/// A service session: owns the [`Engine`] (registry + thread budget +
+/// default limits) and turns [`SolveRequest`]s into [`SolveReport`]s.
 ///
 /// Create one `Service` per process (or per daemon) and call
-/// [`Service::handle`] for every request — the worker pool that races
-/// portfolio members is spawned once and amortised across the session. The
-/// request's `threads` field is honoured only by [`Service::once`]; a
-/// long-lived session's pool is fixed at construction.
+/// [`Service::handle`] for every request; the registry and limits are set
+/// up once. No thread outlives a request: a portfolio spawns its race
+/// threads and joins them before its report is built. The request's
+/// `threads` field is honoured only by [`Service::for_request`] and
+/// [`Service::once`]; a long-lived session's thread budget is fixed at
+/// construction.
 pub struct Service {
     engine: Engine,
 }
@@ -899,12 +903,12 @@ impl Service {
         }
     }
 
-    /// A session around an existing engine (custom registry, shared pool).
+    /// A session around an existing engine (custom registry or limits).
     pub fn with_engine(engine: Engine) -> Self {
         Service { engine }
     }
 
-    /// A session sized to one request: pool threads from the request's
+    /// A session sized to one request: the thread budget from the request's
     /// `threads` field (`0` = all cores), default limits from its `limits`.
     /// For anything beyond a one-shot, create a `Service` once and reuse it.
     pub fn for_request(request: &SolveRequest) -> Self {
@@ -915,7 +919,7 @@ impl Service {
     }
 
     /// Handles a single request on a throwaway [`Service::for_request`]
-    /// session (pool spun up for this one call).
+    /// session.
     pub fn once(request: &SolveRequest) -> SolveReport {
         Service::for_request(request).handle(request)
     }
@@ -992,7 +996,7 @@ impl Service {
 
 /// The solve core shared by [`Service`] and the deprecated free functions:
 /// resolves the solver (through `cache`, so a window of same-solver
-/// requests builds it once), runs it under the engine's pool with the
+/// requests builds it once), runs it in the engine's context with the
 /// prepared deadline, validates the schedule independently, and stamps the
 /// report.
 fn solve_on_engine(
@@ -1353,7 +1357,7 @@ mod tests {
         request.threads = 500_000;
         let err = SolveRequest::from_json(&request.to_json()).unwrap_err();
         assert!(err.to_string().contains("at most"), "{err}");
-        // `0` (= all cores) is always allowed and resolves in the pool.
+        // `0` (= all cores) is always allowed and resolves in the engine.
         request.threads = 0;
         let reparsed = SolveRequest::from_json(&request.to_json()).unwrap();
         assert_eq!(reparsed.threads, 0);

@@ -1,5 +1,6 @@
-//! Flags that have no effect on a binary are refused with exit status 2 and
-//! a message naming the flag, never accepted and silently ignored.
+//! Flags that have no effect on a binary, and settings that do not parse,
+//! are refused with exit status 2 and a message naming the flag or the
+//! variable, never accepted and silently ignored.
 
 use std::process::{Command, Output};
 
@@ -33,4 +34,25 @@ fn minmem_rejects_threads() {
 fn replay_rejects_threads() {
     let output = run(env!("CARGO_BIN_EXE_replay"), &["--threads", "2"]);
     assert_rejected(&output, "--threads");
+}
+
+/// A `MALS_THREADS` that is not a thread count is refused by every binary
+/// that reads it, as `--threads two` is, instead of falling back to all
+/// cores. Only the child's environment is set.
+#[test]
+fn figure_binaries_reject_an_invalid_mals_threads() {
+    for binary in [
+        env!("CARGO_BIN_EXE_fig10"),
+        env!("CARGO_BIN_EXE_fig11"),
+        env!("CARGO_BIN_EXE_fig12"),
+        env!("CARGO_BIN_EXE_fig13"),
+        env!("CARGO_BIN_EXE_fig14"),
+        env!("CARGO_BIN_EXE_fig15"),
+    ] {
+        let output = Command::new(binary)
+            .env("MALS_THREADS", "two")
+            .output()
+            .expect("spawn the binary");
+        assert_rejected(&output, "MALS_THREADS");
+    }
 }

@@ -24,6 +24,7 @@
 //!   that release a graph's tasks along a virtual timeline as replayable
 //!   [`ArrivalTrace`]s for the online scheduling layer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

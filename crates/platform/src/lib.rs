@@ -16,6 +16,7 @@
 //! * [`MemoryState`] — per-memory `free_mem(t)` staircase profiles with the
 //!   reservation / release operations of the paper's memory model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mem_state;

@@ -23,6 +23,7 @@
 //! `[workspace.dependencies]` back at crates.io and everything recompiles
 //! unchanged.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collection;

@@ -1,13 +1,12 @@
-//! The solver engine: a reusable session around a registry, a worker pool
-//! and default limits.
+//! The solver engine: a reusable session around a registry, a thread
+//! budget and default limits.
 //!
-//! Creating a worker pool spawns OS threads; doing that once per request is
-//! measurable when a driver solves thousands of small DAGs (the service
-//! endpoint under load). An [`Engine`] is created once, owns the pool and
-//! the default [`SolveLimits`], and hands every solve a [`SolveCtx`]
-//! borrowing them. The pool runs whole solves side by side — the members
-//! of a portfolio race ([`Engine::solve_portfolio`], also inside
-//! [`Engine::solve_batch`]); every other solve is sequential.
+//! An [`Engine`] is created once, holds the registry, the resolved thread
+//! count and the default [`SolveLimits`], and hands every solve a
+//! [`SolveCtx`] carrying them. The threads run whole solves side by side —
+//! the members of a portfolio race ([`Engine::solve_portfolio`], also
+//! inside [`Engine::solve_batch`]), spawned for the race and joined before
+//! it returns; every other solve is sequential and spawns nothing.
 //!
 //! ```
 //! use mals_sched::{Engine, EngineConfig, SolverRegistry};
@@ -27,12 +26,12 @@ use crate::registry::SolverRegistry;
 use crate::solver::{SolveCtx, SolveLimits, SolveOutcome, Solver};
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
-use mals_util::{CancelSignal, Deadline, ParallelConfig, WorkerPool};
+use mals_util::{CancelSignal, Deadline, ParallelConfig};
 
 /// Configuration of an [`Engine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Thread configuration of the shared worker pool (default: all cores;
+    /// Thread budget of the session's portfolio races (default: all cores;
     /// results are bit-identical for every setting).
     pub parallel: ParallelConfig,
     /// Default budgets handed to every solve.
@@ -86,10 +85,10 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A solving session: registry + persistent worker pool + default limits.
+/// A solving session: registry + thread budget + default limits.
 pub struct Engine {
     registry: SolverRegistry,
-    pool: WorkerPool,
+    threads: usize,
     limits: SolveLimits,
 }
 
@@ -97,18 +96,19 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("solvers", &self.registry.keys())
-            .field("threads", &self.pool.threads())
+            .field("threads", &self.threads)
             .field("limits", &self.limits)
             .finish()
     }
 }
 
 impl Engine {
-    /// Creates an engine over `registry`, spawning the worker pool once.
+    /// Creates an engine over `registry`, resolving the thread count once
+    /// (`0` = the machine's available parallelism). No thread is spawned.
     pub fn new(registry: SolverRegistry, config: EngineConfig) -> Self {
         Engine {
             registry,
-            pool: WorkerPool::new(config.parallel),
+            threads: config.parallel.resolved_threads(),
             limits: config.limits,
         }
     }
@@ -123,16 +123,16 @@ impl Engine {
         self.limits
     }
 
-    /// Threads of the shared pool (including the submitting thread).
+    /// The session's thread budget (the calling thread included).
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.threads
     }
 
-    /// The context handed to solves: default limits + the shared pool.
+    /// The context handed to solves: default limits + the thread budget.
     pub fn ctx(&self) -> SolveCtx<'_> {
         SolveCtx {
             limits: self.limits,
-            pool: Some(&self.pool),
+            threads: self.threads,
             cancel: CancelSignal::default(),
         }
     }
@@ -148,7 +148,7 @@ impl Engine {
     ) -> SolveCtx<'_> {
         SolveCtx {
             limits: limits.unwrap_or(self.limits),
-            pool: Some(&self.pool),
+            threads: self.threads,
             cancel: CancelSignal {
                 deadline,
                 ..CancelSignal::default()
@@ -193,7 +193,7 @@ impl Engine {
         Ok(solver.solve(graph, platform, &self.ctx()))
     }
 
-    /// Races a solver portfolio on this engine's pool and returns the full
+    /// Races a solver portfolio on this engine's threads and returns the full
     /// per-member breakdown (see [`Portfolio::solve_race`] for the racing
     /// and determinism rules).
     ///
@@ -223,7 +223,7 @@ impl Engine {
     /// Solves many graphs with one solver instance, in order on the calling
     /// thread, and returns the outcomes in input order. Every solve shares
     /// the session's context, so a portfolio in a batch races its members
-    /// on the pool.
+    /// on the session's threads.
     pub fn solve_batch(
         &self,
         name: &str,

@@ -51,10 +51,10 @@
 //! * [`SolverRegistry`] — name-keyed solver factories
 //!   ([`SolverRegistry::heuristics`] registers everything in this crate;
 //!   `mals_exact::solver_registry()` adds the exact backends);
-//! * [`Engine`] — a reusable session owning the worker pool and the default
-//!   [`SolveLimits`], with single-solve and batch APIs;
-//! * [`Portfolio`] — anytime racing: a member set solved concurrently on the
-//!   worker pool with cooperative cancellation (deadlines, caller tokens,
+//! * [`Engine`] — a reusable session holding the thread budget and the
+//!   default [`SolveLimits`], with single-solve and batch APIs;
+//! * [`Portfolio`] — anytime racing: a member set solved concurrently on
+//!   scoped threads with cooperative cancellation (deadlines, caller tokens,
 //!   cancel-on-optimal) and deterministic winner selection
 //!   ([`Engine::solve_portfolio`](Engine::solve_portfolio) is the
 //!   session-level entry point).
@@ -76,6 +76,7 @@
 //! assert!(report.peaks.blue <= 5.0 && report.peaks.red <= 5.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

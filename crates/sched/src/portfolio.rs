@@ -3,9 +3,9 @@
 //! No single heuristic dominates across instance classes (Braun et al.;
 //! the paper's own MemHEFT/MemMinMin trade wins with the memory bound), so
 //! instead of picking one registry key a caller can race a *portfolio*: every
-//! member solves the same instance concurrently on the shared
-//! [`WorkerPool`](mals_util::WorkerPool), the best result wins, and the
-//! losers are cooperatively cancelled through the [`CancelToken`] layer.
+//! member solves the same instance concurrently, mapped over scoped threads
+//! by [`parallel_map_indexed`], the best result wins, and the losers are
+//! cooperatively cancelled through the [`CancelToken`] layer.
 //!
 //! Determinism is preserved — the winner of a race is independent of thread
 //! timing:
@@ -29,7 +29,7 @@ use crate::solver::{OptimalityStatus, SolveCtx, SolveOutcome, Solver};
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sim::validate;
-use mals_util::{CancelSignal, CancelToken};
+use mals_util::{parallel_map_indexed, CancelSignal, CancelToken, ParallelConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -176,12 +176,14 @@ impl Portfolio {
 
     /// Races the members and returns the full per-member breakdown.
     ///
-    /// Members run concurrently on `ctx.pool` (sequentially without one —
-    /// the shared deadline still bounds each member, so a race on a
-    /// single-core host degrades to a deadline-bounded sequential sweep).
-    /// Each member gets its own [`CancelToken`] child-linked to the caller's
-    /// (`ctx.cancel.token`), `pool: None` in its context (the pool must not
-    /// be re-entered from inside a batch), and the caller's deadline.
+    /// Members run concurrently on up to `ctx.threads` threads, the calling
+    /// thread included, so a race spawns at most `min(threads, members) − 1`
+    /// scoped threads and joins them before it returns. With one thread the
+    /// members run in order on the caller; the shared deadline still bounds
+    /// each member, so a race on a single-core host degrades to a
+    /// deadline-bounded sequential sweep. Each member gets its own
+    /// [`CancelToken`] child-linked to the caller's (`ctx.cancel.token`), a
+    /// 1-thread context, and the caller's deadline.
     pub fn solve_race(
         &self,
         graph: &TaskGraph,
@@ -205,17 +207,16 @@ impl Portfolio {
             cancelled: bool,
         }
 
-        let run_member = |i: usize| {
+        let run_member = |i: usize, (_, solver): &(String, Box<dyn Solver>)| {
             let start = Instant::now();
             let member_ctx = SolveCtx {
                 limits: ctx.limits,
-                pool: None,
+                threads: 1,
                 cancel: CancelSignal {
                     token: Some(&tokens[i]),
                     deadline: ctx.cancel.deadline,
                 },
             };
-            let solver = &self.members[i].1;
             let result = catch_unwind(AssertUnwindSafe(|| {
                 solver.solve(graph, platform, &member_ctx)
             }));
@@ -254,10 +255,11 @@ impl Portfolio {
             }
         };
 
-        let raws: Vec<Raw> = match ctx.parallel_pool() {
-            Some(pool) => pool.run_indexed(n, run_member),
-            None => (0..n).map(run_member).collect(),
-        };
+        let raws: Vec<Raw> = parallel_map_indexed(
+            &self.members,
+            ParallelConfig::with_threads(ctx.threads),
+            run_member,
+        );
 
         // Winner selection on the submitting thread: smallest (makespan,
         // index) over the members whose schedule validates on the bounded
@@ -357,9 +359,8 @@ impl Solver for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolveLimits;
     use mals_gen::dex;
-    use mals_util::{Deadline, ParallelConfig, WorkerPool};
+    use mals_util::Deadline;
 
     #[test]
     fn default_portfolio_wins_with_best_member() {
@@ -395,8 +396,10 @@ mod tests {
         let platform = Platform::single_pair(5.0, 5.0);
         let reference = portfolio.solve_race(&g, &platform, &SolveCtx::sequential());
         for threads in [2, 4] {
-            let pool = WorkerPool::new(ParallelConfig::with_threads(threads));
-            let ctx = SolveCtx::pooled(SolveLimits::default(), &pool);
+            let ctx = SolveCtx {
+                threads,
+                ..SolveCtx::sequential()
+            };
             let report = portfolio.solve_race(&g, &platform, &ctx);
             assert_eq!(report.winner, reference.winner, "{threads} threads");
             assert_eq!(

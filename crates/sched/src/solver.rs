@@ -1,8 +1,8 @@
 //! The unified solver interface.
 //!
 //! Every solver — heuristic or exact — implements [`Solver`]: a solve takes
-//! a task graph, a platform and a [`SolveCtx`] (budgets, an optional shared
-//! worker pool and a cancel signal) and returns a [`SolveOutcome`] — the
+//! a task graph, a platform and a [`SolveCtx`] (budgets, a thread budget and
+//! a cancel signal) and returns a [`SolveOutcome`] — the
 //! schedule, if any, together with an [`OptimalityStatus`] saying *what was
 //! proven about it*.
 //!
@@ -22,7 +22,7 @@
 //!
 //! Solvers are instantiated by name through the
 //! [`SolverRegistry`](crate::SolverRegistry) and driven by an
-//! [`Engine`](crate::Engine) session that owns the worker pool and the
+//! [`Engine`](crate::Engine) session that holds the thread budget and the
 //! default limits, so callers select algorithms with strings instead of
 //! concrete types.
 
@@ -36,7 +36,7 @@ use crate::unbounded::Unbounded;
 use mals_dag::TaskGraph;
 use mals_platform::Platform;
 use mals_sim::Schedule;
-use mals_util::{CancelSignal, CancelToken, Deadline, WorkerPool};
+use mals_util::{CancelSignal, CancelToken, Deadline};
 
 /// Budgets shared by every solver (the heuristics ignore them).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,24 +70,35 @@ impl SolveLimits {
     }
 }
 
-/// Per-solve context handed to every [`Solver`]: the budgets, the shared
-/// worker pool, and the cooperative cancellation signal, owned by the caller
-/// (typically an [`Engine`](crate::Engine)) so that pool startup is
-/// amortised across many solves.
-#[derive(Debug, Clone, Copy, Default)]
+/// Per-solve context handed to every [`Solver`]: the budgets, the thread
+/// budget and the cooperative cancellation signal, set by the caller
+/// (typically an [`Engine`](crate::Engine)).
+#[derive(Debug, Clone, Copy)]
 pub struct SolveCtx<'a> {
     /// Budgets for exact solvers.
     pub limits: SolveLimits,
-    /// Worker pool for solvers that spread whole solves over threads — the
-    /// [`Portfolio`](crate::Portfolio) races its members on it (`None`: run
-    /// sequentially). A pool of 1 thread is equivalent to `None`. Every
-    /// single heuristic solve is sequential and ignores it.
-    pub pool: Option<&'a WorkerPool>,
+    /// Threads a solver may spread whole sub-solves over, the calling
+    /// thread included (`1`: sequential; `0`: all cores). Only the
+    /// [`Portfolio`](crate::Portfolio) uses it, racing its members on
+    /// scoped threads; every single heuristic or exact solve is sequential
+    /// and ignores it.
+    pub threads: usize,
     /// Cooperative cancellation: solvers poll this once per committed task
     /// (heuristics) or explored node (exact backends) and return
     /// [`OptimalityStatus::LimitHit`] — with the incumbent-so-far, if any —
     /// once it trips. Default: never cancelled.
     pub cancel: CancelSignal<'a>,
+}
+
+impl Default for SolveCtx<'_> {
+    /// A sequential context: default limits, 1 thread, never cancelled.
+    fn default() -> Self {
+        SolveCtx {
+            limits: SolveLimits::default(),
+            threads: 1,
+            cancel: CancelSignal::default(),
+        }
+    }
 }
 
 impl<'a> SolveCtx<'a> {
@@ -101,15 +112,6 @@ impl<'a> SolveCtx<'a> {
         SolveCtx {
             limits,
             ..SolveCtx::default()
-        }
-    }
-
-    /// A context evaluating on `pool` with the given limits.
-    pub fn pooled(limits: SolveLimits, pool: &'a WorkerPool) -> SolveCtx<'a> {
-        SolveCtx {
-            limits,
-            pool: Some(pool),
-            cancel: CancelSignal::default(),
         }
     }
 
@@ -130,11 +132,6 @@ impl<'a> SolveCtx<'a> {
     /// points.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
-    }
-
-    /// The pool, if it would actually parallelise anything.
-    pub fn parallel_pool(&self) -> Option<&'a WorkerPool> {
-        self.pool.filter(|p| p.threads() > 1)
     }
 }
 

@@ -18,6 +18,7 @@
 //! * [`report`] — JSON serialisation of schedules and validation verdicts
 //!   for the solver-service surface (`SolveRequest` / `SolveReport`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gantt;

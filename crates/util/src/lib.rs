@@ -11,9 +11,9 @@
 //! * [`staircase`] — piecewise-constant functions of time, the data structure
 //!   behind the `free_mem` availability profiles of the memory-aware
 //!   heuristics in the paper (Section 5.1).
-//! * [`pool`] — a reusable worker pool and a one-shot parallel map, used to
-//!   run scheduling campaigns over many DAGs concurrently and to evaluate
-//!   the ready list of a single schedule across threads.
+//! * [`pool`] — a scoped parallel map, used to spread whole solves over
+//!   threads: the DAGs of a campaign, the bounds of a sweep and the members
+//!   of a portfolio race.
 //! * [`float`] — tolerant floating-point comparison helpers and a total-order
 //!   wrapper.
 //! * [`json`] — a dependency-free JSON value type (parser + emitter) backing
@@ -30,6 +30,7 @@
 //! * [`frame`] — newline-delimited frame I/O (size-capped, timeout-tolerant)
 //!   for the persistent scheduling daemon's wire protocol.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;
@@ -50,7 +51,7 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use float::{approx_eq, approx_ge, approx_le, F64Ord, EPSILON};
 pub use frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 pub use json::{IoSink, Json, JsonError, JsonReader, JsonWriter};
-pub use pool::{parallel_map, parallel_map_indexed, ParallelConfig, WorkerPool};
+pub use pool::{parallel_map, parallel_map_indexed, ParallelConfig};
 pub use rng::Pcg64;
 pub use staircase::{Staircase, StaircaseBatch};
 pub use stats::{OnlineStats, Summary};

@@ -1,86 +1,67 @@
-//! A minimal scoped-thread parallel engine.
+//! A scoped parallel map: the one threading primitive of the workspace.
 //!
-//! Two layers are provided:
+//! The list schedulers are sequential; parallelism is only ever *across*
+//! whole solves — the DAGs of a campaign, the memory bounds of one sweep,
+//! the members of a portfolio race. [`parallel_map`] /
+//! [`parallel_map_indexed`] cover all of them: each call spawns its
+//! workers inside [`std::thread::scope`], maps a closure over a slice and
+//! joins them again, so no thread outlives the call.
 //!
-//! * [`WorkerPool`] — a reusable pool of persistent worker threads. A pool is
-//!   created once (e.g. per solver session) and then runs many batches of
-//!   indexed work without re-spawning threads. Work is
-//!   partitioned into contiguous chunks claimed from a shared atomic index
-//!   (self-scheduling, no work stealing) and results are reduced in input
-//!   order, so the output of [`WorkerPool::run_indexed`] is deterministic and
-//!   independent of thread timing.
-//! * [`parallel_map`] / [`parallel_map_indexed`] — a one-shot convenience
-//!   wrapper that builds a transient pool, maps a closure over a slice and
-//!   tears the pool down again. The experiment campaigns use it to spread
-//!   whole DAGs (or the memory bounds of one sweep) over threads; the
-//!   solver engine of `mals-sched` holds a [`WorkerPool`] instead because a
-//!   session races portfolio members request after request.
-//!
-//! Rather than pulling in a full work-stealing runtime, this keeps the
-//! dependency set empty: plain `std` threads, a condvar for batch hand-off
-//! and an atomic index for chunk claiming are more than enough to saturate a
-//! laptop-class machine for these workloads.
-//!
-//! Panics raised inside worker closures are caught, forwarded to the
-//! submitting thread and re-raised there with their original payload, so a
-//! failing closure behaves the same under 1 or N threads.
+//! * Results come back in input order, bit-identical to a sequential map
+//!   for a pure closure, whatever the thread timing.
+//! * The calling thread takes part, so a 1-thread call (or a 1-item slice)
+//!   spawns nothing and runs inline.
+//! * Items are claimed in contiguous blocks from one atomic index
+//!   (self-scheduling, no work stealing); blocks grow with the input
+//!   (`len / (threads·8)`) so large maps pay few synchronisations.
+//! * A panic inside the closure is re-raised on the caller with its
+//!   original payload, so a failing closure behaves the same under 1 or N
+//!   threads.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
-/// Configuration for [`WorkerPool`] and [`parallel_map`].
-#[derive(Debug, Clone, Copy)]
+/// Thread configuration of [`parallel_map`] and of the solver engine.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelConfig {
-    /// Number of worker threads. `0` means "use available parallelism", as
-    /// reported by [`std::thread::available_parallelism`] at the point of
-    /// use (never a hardcoded count).
+    /// Number of threads, the calling thread included. `0` means "use
+    /// available parallelism", as reported by
+    /// [`std::thread::available_parallelism`] at the point of use (never a
+    /// hardcoded count).
     pub threads: usize,
-    /// Minimum work-claiming chunk size: each worker claims at least this
-    /// many consecutive items at a time. Larger chunks reduce contention on
-    /// the shared index but worsen load balance for heterogeneous item
-    /// costs. The pool may claim larger blocks to amortise synchronisation
-    /// on large inputs; partitioning never affects results.
-    pub chunk: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            threads: 0,
-            chunk: 1,
-        }
-    }
 }
 
 impl ParallelConfig {
     /// A configuration that runs everything sequentially on the caller
     /// thread. Useful for deterministic debugging and in tests.
     pub fn sequential() -> Self {
-        ParallelConfig {
-            threads: 1,
-            chunk: usize::MAX,
-        }
+        ParallelConfig { threads: 1 }
     }
 
-    /// A configuration using `threads` workers and chunk size 1. As
-    /// everywhere else, `0` resolves to the machine's available parallelism.
+    /// A configuration using `threads` threads. As everywhere else, `0`
+    /// resolves to the machine's available parallelism.
     pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig { threads, chunk: 1 }
+        ParallelConfig { threads }
     }
 
     /// The configuration requested by the `MALS_THREADS` environment
-    /// variable, if set to a valid thread count (`0` = all cores).
-    pub fn env_override() -> Option<Self> {
-        let value = std::env::var("MALS_THREADS").ok()?;
-        value.trim().parse::<usize>().ok().map(Self::with_threads)
+    /// variable: `Ok(None)` when it is unset, and an error naming the
+    /// variable when it is set to anything but a thread count (`0` = all
+    /// cores), so a bad value is refused instead of silently ignored.
+    pub fn env_override() -> Result<Option<Self>, String> {
+        std::env::var_os("MALS_THREADS")
+            .map(|value| Self::parse_env_value(&value.to_string_lossy()))
+            .transpose()
     }
 
-    /// [`ParallelConfig::env_override`] falling back to the default
-    /// (all-cores) configuration.
-    pub fn from_env() -> Self {
-        Self::env_override().unwrap_or_default()
+    fn parse_env_value(value: &str) -> Result<Self, String> {
+        value
+            .trim()
+            .parse::<usize>()
+            .map(Self::with_threads)
+            .map_err(|_| {
+                format!("MALS_THREADS expects a thread count (0 = all cores), got `{value}`")
+            })
     }
 
     /// The actual number of threads this configuration resolves to: the
@@ -94,301 +75,6 @@ impl ParallelConfig {
         } else {
             self.threads
         }
-    }
-
-    fn effective_threads(&self, items: usize) -> usize {
-        self.resolved_threads().clamp(1, items.max(1))
-    }
-}
-
-/// The type-erased per-batch executor: called with a claimed index range
-/// `[start, end)`.
-type RangeRunner = dyn Fn(usize, usize) + Sync;
-
-/// A batch published to the workers. The runner pointer borrows from the
-/// submitting thread's stack frame; see the safety notes on
-/// [`WorkerPool::run_batch`].
-struct Batch {
-    runner: *const RangeRunner,
-    len: usize,
-    chunk: usize,
-}
-
-// SAFETY: the raw runner pointer is only dereferenced while the submitting
-// thread is blocked inside `run_batch`, which keeps the referent alive.
-unsafe impl Send for Batch {}
-
-struct Control {
-    /// Incremented once per published batch; workers detect new work by
-    /// comparing against the last generation they processed.
-    generation: u64,
-    batch: Option<Batch>,
-    /// Workers that have not yet finished the current generation.
-    active: usize,
-    shutdown: bool,
-}
-
-struct Shared {
-    control: Mutex<Control>,
-    work_ready: Condvar,
-    work_done: Condvar,
-    /// Next unclaimed item index of the current batch.
-    next: AtomicUsize,
-    /// First panic payload captured from a worker (or the submitter's own
-    /// share of the batch), re-raised once the batch has drained.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// A reusable pool of persistent worker threads executing indexed batches.
-///
-/// The pool spawns `resolved_threads - 1` OS threads on construction (the
-/// submitting thread itself works on every batch, so a 1-thread pool spawns
-/// nothing and runs inline). Batches are submitted with
-/// [`WorkerPool::run_indexed`]; the pool partitions `0..len` into contiguous
-/// chunks, workers claim chunks from a shared atomic counter, and the results
-/// are collected in index order — the returned `Vec` is bit-identical to a
-/// sequential `(0..len).map(f).collect()` whenever `f` is a pure function of
-/// its index.
-///
-/// Batches are serialised: concurrent `run_indexed` calls on one pool queue
-/// behind an internal lock, and a batch closure must not re-enter the pool.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-    min_chunk: usize,
-    /// Serialises batch submission (one batch in flight at a time).
-    submit: Mutex<()>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
-            .field("min_chunk", &self.min_chunk)
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Creates a pool for `cfg` (resolving `threads == 0` to the available
-    /// parallelism) and spawns its persistent workers.
-    pub fn new(cfg: ParallelConfig) -> Self {
-        let threads = cfg.resolved_threads().max(1);
-        let shared = Arc::new(Shared {
-            control: Mutex::new(Control {
-                generation: 0,
-                batch: None,
-                active: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-            next: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        });
-        let workers = (1..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            workers,
-            threads,
-            min_chunk: if cfg.chunk == usize::MAX {
-                1
-            } else {
-                cfg.chunk.max(1)
-            },
-            submit: Mutex::new(()),
-        }
-    }
-
-    /// The number of threads participating in each batch (including the
-    /// submitting thread).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Applies `f` to every index in `0..len` and returns the results in
-    /// index order. `f` runs concurrently on the pool's threads; the result
-    /// is identical to `(0..len).map(f).collect()` for pure `f`.
-    ///
-    /// Panics raised by `f` on any thread are re-raised here with their
-    /// original payload once the batch has drained.
-    pub fn run_indexed<R, F>(&self, len: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if len == 0 {
-            return Vec::new();
-        }
-        if self.workers.is_empty() || len == 1 {
-            return (0..len).map(f).collect();
-        }
-        let chunk = self.claim_size(len);
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..len).map(|_| None).collect());
-        let runner = |start: usize, end: usize| {
-            // Compute the whole claimed range before taking the results
-            // lock, so the lock is held for a plain memcpy-like splice.
-            let mut local = Vec::with_capacity(end - start);
-            for i in start..end {
-                local.push((i, f(i)));
-            }
-            let mut slots = results.lock().expect("worker pool results poisoned");
-            for (i, r) in local {
-                slots[i] = Some(r);
-            }
-        };
-        self.run_batch(&runner, len, chunk);
-        results
-            .into_inner()
-            .expect("worker pool results poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("every index must have been processed"))
-            .collect()
-    }
-
-    /// Chunks claimed per synchronisation: at least the configured minimum,
-    /// scaled up on large inputs so each thread performs a bounded number of
-    /// claims per batch.
-    fn claim_size(&self, len: usize) -> usize {
-        let amortised = len / (self.threads * 8);
-        self.min_chunk.max(amortised).max(1)
-    }
-
-    /// Publishes one batch and blocks until every thread has finished it.
-    fn run_batch<'a>(
-        &self,
-        runner: &'a (dyn Fn(usize, usize) + Sync + 'a),
-        len: usize,
-        chunk: usize,
-    ) {
-        // A panicking batch unwinds through this guard and poisons the lock;
-        // the pool stays usable, so tolerate the poison on re-entry.
-        let _exclusive = self
-            .submit
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // SAFETY: the runner reference is smuggled to the workers with its
-        // lifetime erased. This function does not return (even on panic —
-        // the submitter's own share runs under `catch_unwind`) until every
-        // worker has decremented `active` for this generation, i.e. until no
-        // thread can touch the pointer again, so the borrow outlives all
-        // uses.
-        let runner_ptr: *const RangeRunner = unsafe {
-            std::mem::transmute::<&'a (dyn Fn(usize, usize) + Sync + 'a), &'static RangeRunner>(
-                runner,
-            )
-        };
-        {
-            let mut control = self.shared.control.lock().expect("worker pool poisoned");
-            debug_assert!(control.batch.is_none(), "batch already in flight");
-            control.batch = Some(Batch {
-                runner: runner_ptr,
-                len,
-                chunk,
-            });
-            control.generation = control.generation.wrapping_add(1);
-            control.active = self.workers.len();
-            self.shared.next.store(0, Ordering::Relaxed);
-            self.shared.work_ready.notify_all();
-        }
-        // The submitting thread is a full participant.
-        run_chunks(&self.shared, runner_ptr, len, chunk);
-        let mut control = self.shared.control.lock().expect("worker pool poisoned");
-        while control.active > 0 {
-            control = self
-                .shared
-                .work_done
-                .wait(control)
-                .expect("worker pool poisoned");
-        }
-        control.batch = None;
-        drop(control);
-        let payload = self
-            .shared
-            .panic
-            .lock()
-            .expect("worker pool poisoned")
-            .take();
-        if let Some(payload) = payload {
-            panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut control = self
-                .shared
-                .control
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            control.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut seen = 0u64;
-    loop {
-        let (runner, len, chunk) = {
-            let mut control = shared.control.lock().expect("worker pool poisoned");
-            loop {
-                if control.shutdown {
-                    return;
-                }
-                if control.generation != seen {
-                    seen = control.generation;
-                    let batch = control
-                        .batch
-                        .as_ref()
-                        .expect("generation bumped without a batch");
-                    break (batch.runner, batch.len, batch.chunk);
-                }
-                control = shared
-                    .work_ready
-                    .wait(control)
-                    .expect("worker pool poisoned");
-            }
-        };
-        run_chunks(shared, runner, len, chunk);
-        let mut control = shared.control.lock().expect("worker pool poisoned");
-        control.active -= 1;
-        if control.active == 0 {
-            shared.work_done.notify_all();
-        }
-    }
-}
-
-/// Claims and executes chunks of the current batch until none remain. Panics
-/// inside the runner are captured (first payload wins) and abort the rest of
-/// the batch so the other threads drain quickly.
-fn run_chunks(shared: &Shared, runner: *const RangeRunner, len: usize, chunk: usize) {
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| loop {
-        let start = shared.next.fetch_add(chunk, Ordering::Relaxed);
-        if start >= len {
-            break;
-        }
-        let end = (start + chunk).min(len);
-        // SAFETY: see `run_batch` — the submitter keeps the runner alive
-        // until every participant has finished the batch.
-        unsafe { (*runner)(start, end) };
-    }));
-    if let Err(payload) = outcome {
-        // Stop further claims so the batch drains as fast as possible.
-        shared.next.store(len, Ordering::Relaxed);
-        let mut slot = shared.panic.lock().expect("worker pool poisoned");
-        slot.get_or_insert(payload);
     }
 }
 
@@ -407,31 +93,66 @@ where
 }
 
 /// Like [`parallel_map`] but the closure also receives the index of the item.
+///
+/// Spawns `min(threads, items.len()) − 1` scoped threads; the calling thread
+/// is the remaining worker.
 pub fn parallel_map_indexed<T, R, F>(items: &[T], cfg: ParallelConfig, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = cfg.effective_threads(n);
-    if threads <= 1 {
+    let len = items.len();
+    let threads = cfg.resolved_threads().clamp(1, len.max(1));
+    if threads == 1 {
         return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
     }
-    let pool = WorkerPool::new(ParallelConfig {
-        threads,
-        chunk: cfg.chunk,
+    let block = (len / (threads * 8)).max(1);
+    let next = AtomicUsize::new(0);
+    // One worker's share: the blocks it claimed, each tagged with its first
+    // index. A panic stops further claims, so the other workers drain fast,
+    // and then continues unwinding with its payload.
+    let work = || {
+        let mut done: Vec<(usize, Vec<R>)> = Vec::new();
+        let claimed = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let start = next.fetch_add(block, Ordering::Relaxed);
+            if start >= len {
+                break;
+            }
+            let end = (start + block).min(len);
+            done.push((start, (start..end).map(|i| f(i, &items[i])).collect()));
+        }));
+        if let Err(payload) = claimed {
+            next.store(len, Ordering::Relaxed);
+            panic::resume_unwind(payload);
+        }
+        done
+    };
+    let mut blocks = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        // The caller's own panic leaves `scope` with its payload once every
+        // worker has finished; a worker's is re-raised from its join, since
+        // `scope` would replace an unjoined worker's payload with its own.
+        let mut blocks = work();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => blocks.extend(done),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        blocks
     });
-    pool.run_indexed(n, |i| f(i, &items[i]))
+    blocks.sort_unstable_by_key(|&(start, _)| start);
+    let mut results = Vec::with_capacity(len);
+    for (_, done) in blocks {
+        results.extend(done);
+    }
+    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn maps_in_order() {
@@ -474,15 +195,11 @@ mod tests {
     fn every_item_processed_exactly_once() {
         static COUNT: AtomicUsize = AtomicUsize::new(0);
         let items: Vec<usize> = (0..5000).collect();
-        let cfg = ParallelConfig {
-            threads: 8,
-            chunk: 7,
-        };
-        let out = parallel_map(&items, cfg, |&x| {
+        let out = parallel_map(&items, ParallelConfig::with_threads(8), |&x| {
             COUNT.fetch_add(1, Ordering::Relaxed);
             x
         });
-        assert_eq!(out.len(), items.len());
+        assert_eq!(out, items);
         assert_eq!(COUNT.load(Ordering::Relaxed), items.len());
     }
 
@@ -504,36 +221,41 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reusable_across_batches() {
-        let pool = WorkerPool::new(ParallelConfig::with_threads(4));
-        for round in 0..50usize {
-            let out = pool.run_indexed(round + 1, |i| i * round);
-            assert_eq!(out, (0..=round).map(|i| i * round).collect::<Vec<_>>());
+    fn one_thread_runs_inline_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..5).collect();
+        let out = parallel_map(&items, ParallelConfig::sequential(), |&i| {
+            assert_eq!(std::thread::current().id(), caller);
+            i + 1
+        });
+        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn env_values_parse_as_thread_counts_or_name_the_variable() {
+        assert_eq!(ParallelConfig::parse_env_value(" 5 ").unwrap().threads, 5);
+        assert_eq!(ParallelConfig::parse_env_value("0").unwrap().threads, 0);
+        for bad in ["two", "-1", ""] {
+            let err = ParallelConfig::parse_env_value(bad).unwrap_err();
+            assert!(err.contains("MALS_THREADS"), "{err}");
         }
     }
 
     #[test]
-    fn pool_results_are_index_ordered_and_deterministic() {
-        let pool = WorkerPool::new(ParallelConfig::with_threads(8));
-        let a = pool.run_indexed(10_000, |i| i as u64 * 3 + 1);
-        let b = pool.run_indexed(10_000, |i| i as u64 * 3 + 1);
+    fn results_are_index_ordered_and_deterministic() {
+        let items: Vec<u64> = (0..10_000).collect();
+        let cfg = ParallelConfig::with_threads(8);
+        let a = parallel_map(&items, cfg, |&i| i * 3 + 1);
+        let b = parallel_map(&items, cfg, |&i| i * 3 + 1);
         assert_eq!(a, b);
         assert_eq!(a[1234], 1234 * 3 + 1);
     }
 
     #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = WorkerPool::new(ParallelConfig::sequential());
-        assert_eq!(pool.threads(), 1);
-        let out = pool.run_indexed(5, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn pool_propagates_worker_panics_with_payload() {
-        let pool = WorkerPool::new(ParallelConfig::with_threads(4));
+    fn parallel_map_propagates_worker_panics_with_payload() {
+        let items: Vec<usize> = (0..100).collect();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_indexed(100, |i| {
+            parallel_map(&items, ParallelConfig::with_threads(4), |&i| {
                 if i == 57 {
                     panic!("boom at {i}");
                 }
@@ -543,8 +265,30 @@ mod tests {
         .expect_err("the panic must propagate");
         let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(message.contains("boom at 57"), "payload lost: {message}");
-        // The pool survives a panicking batch and keeps working.
-        assert_eq!(pool.run_indexed(3, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_spawned_worker_panic_keeps_its_payload() {
+        // Only spawned workers panic; the caller is slowed down so they
+        // claim items while it works through its first block.
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..100).collect();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(&items, ParallelConfig::with_threads(4), |&i| {
+                if std::thread::current().id() == caller {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                } else {
+                    panic!("boom on a worker at {i}");
+                }
+                i
+            })
+        }))
+        .expect_err("the panic must propagate");
+        let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            message.contains("boom on a worker"),
+            "payload lost: {message}"
+        );
     }
 
     #[test]
@@ -557,16 +301,5 @@ mod tests {
             })
         }));
         assert!(caught.is_err());
-    }
-
-    #[test]
-    fn env_override_parses_thread_counts() {
-        // Only exercise the parser indirectly: with_threads semantics are
-        // what `MALS_THREADS` resolves to, and `from_env` falls back to the
-        // default when the variable is unset or invalid (not asserted here —
-        // tests must not mutate the process environment).
-        assert_eq!(ParallelConfig::with_threads(5).resolved_threads(), 5);
-        let fallback = ParallelConfig::from_env();
-        assert!(fallback.resolved_threads() >= 1);
     }
 }

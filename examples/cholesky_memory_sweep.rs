@@ -15,7 +15,9 @@ fn main() {
     let sweep = fig15(&LinalgConfig {
         tiles,
         steps: 16,
-        parallel: ParallelConfig::from_env(),
+        parallel: ParallelConfig::env_override()
+            .unwrap_or_else(|message| panic!("{message}"))
+            .unwrap_or_default(),
     });
     eprintln!(
         "Cholesky {tiles}x{tiles}: {} tasks, HEFT needs {:.0} tiles, lower bound {:.0} ms",

@@ -18,12 +18,12 @@
 //! | [`sched`] | HEFT, MinMin, **MemHEFT**, **MemMinMin**, the unified [`sched::Solver`] trait, the solver registry and the [`sched::Engine`] |
 //! | [`exact`] | the paper's ILP (LP export), a branch-and-bound optimum, the in-tree MILP solver and [`exact::solver_registry`] |
 //! | [`experiments`] | campaign harness reproducing every table and figure, plus the JSON service surface (`SolveRequest` → `SolveReport`) |
-//! | [`util`] | deterministic RNG, statistics, staircase functions, thread pool, JSON |
+//! | [`util`] | deterministic RNG, statistics, staircase functions, scoped parallel map, JSON |
 //!
 //! # Quickstart
 //!
 //! Solvers — heuristics and exact backends alike — are selected **by name**
-//! through an [`Engine`](sched::Engine) session that owns the worker pool
+//! through an [`Engine`](sched::Engine) session that holds the thread budget
 //! and the solve limits:
 //!
 //! ```
@@ -62,6 +62,7 @@
 //! assert_eq!(roundtrip, report);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mals_dag as dag;

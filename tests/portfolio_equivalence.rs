@@ -46,13 +46,15 @@ fn fixture(n_tasks: usize, tightness: f64) -> (TaskGraph, Platform) {
 }
 
 /// The tentpole equivalence: no deadline ⇒ the portfolio is bit-identical
-/// to best-of-members, across 1 / 2 / 4 worker threads.
+/// to best-of-members, across 1 / 2 / 4 worker threads and a 64-thread
+/// budget far above the 5 members (which spawns one thread per extra
+/// member and no more).
 #[test]
 fn no_deadline_portfolio_equals_best_of_members_across_thread_counts() {
     let (graph, platform) = fixture(300, 0.9);
     let (expected_winner, expected_schedule) =
         best_of_members_individually(&graph, &platform).expect("fixture is feasible");
-    for threads in [1, 2, 4] {
+    for threads in [1, 2, 4, 64] {
         let engine = Engine::new(
             solver_registry(),
             EngineConfig::default().with_threads(threads),
@@ -147,17 +149,17 @@ fn deadline_bounded_race_returns_valid_schedule_on_large_fixture() {
     assert!(report.wall_time_ms < 1000);
 }
 
-/// Without a pool the race degrades to a deadline-bounded sequential sweep,
-/// and the no-deadline result is still identical to the pooled one.
+/// On one thread the race degrades to a deadline-bounded sequential sweep,
+/// and the no-deadline result is still identical to the 4-thread one.
 #[test]
 fn sequential_and_pooled_races_agree() {
     let (graph, platform) = fixture(150, 0.9);
     let sequential = Engine::new(solver_registry(), EngineConfig::sequential());
-    let pooled = Engine::new(solver_registry(), EngineConfig::default().with_threads(4));
+    let four_threads = Engine::new(solver_registry(), EngineConfig::default().with_threads(4));
     let a = sequential
         .solve_portfolio::<&str>(&[], 0, &graph, &platform, None)
         .unwrap();
-    let b = pooled
+    let b = four_threads
         .solve_portfolio::<&str>(&[], 0, &graph, &platform, None)
         .unwrap();
     assert_eq!(a.winner, b.winner);

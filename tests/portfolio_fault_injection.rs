@@ -6,7 +6,6 @@
 
 use mals::prelude::*;
 use mals::sched::SolverInfo;
-use mals::util::{ParallelConfig, WorkerPool};
 
 /// A member that always panics mid-solve.
 struct Panicker;
@@ -100,8 +99,10 @@ fn panics_are_contained_on_worker_pool_threads_too() {
     );
     // Duplicate member keys are allowed in a race (unlike registry keys).
     let portfolio = portfolio.unwrap();
-    let pool = WorkerPool::new(ParallelConfig::with_threads(4));
-    let ctx = SolveCtx::pooled(SolveLimits::default(), &pool);
+    let ctx = SolveCtx {
+        threads: 4,
+        ..SolveCtx::sequential()
+    };
     let report = portfolio.solve_race(&graph, &platform, &ctx);
     assert_eq!(report.winner_key(), Some("memheft"));
     assert_eq!(report.errors().len(), 3);

@@ -355,9 +355,9 @@ fn reference_request_from_json(json: &Json) -> Result<SolveRequest, ServiceError
             ServiceError::BadRequest("`threads` must be a non-negative integer".into())
         })?,
     };
-    // The pool spawns one OS thread per requested worker; an absurd
-    // count from an untrusted document must fail as a named error, not
-    // as a thread-spawn abort.
+    // A portfolio race spawns up to one OS thread per requested thread;
+    // an absurd count from an untrusted document must fail as a named
+    // error, not as a thread-spawn abort.
     if threads > MAX_REQUEST_THREADS {
         return Err(ServiceError::BadRequest(format!(
             "`threads` must be at most {MAX_REQUEST_THREADS} (0 = all cores)"
