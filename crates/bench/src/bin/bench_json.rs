@@ -21,7 +21,7 @@ use mals_exact::{solver_registry, BranchAndBound, MilpBackend};
 use mals_experiments::{generated_request, heft_baseline, SolveRequest};
 use mals_platform::Platform;
 use mals_sched::{Engine, EngineConfig, Heft, MemHeft, MemMinMin, Scheduler, SolveCtx, Solver};
-use mals_sim::validate;
+use mals_sim::{memory_peaks, validate};
 use mals_util::{parallel_map, ParallelConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -315,6 +315,23 @@ fn benches(quick: bool) -> Vec<Bench> {
             run: Box::new(move || {
                 let report = validate(&graph, &validate_platform, &huge_schedule);
                 std::hint::black_box(report.is_valid());
+            }),
+            min_samples: Some(3),
+            setup: None,
+        });
+        // `memory_peaks` on the HEFT schedule of the same instance, built
+        // outside the timing: the residency sweep that sets the `α = 1`
+        // bound (sorted runs of edges, merged into the peak fold).
+        let unbounded = platform.unbounded();
+        let heft_schedule = Heft::new()
+            .schedule(&huge_graph, &unbounded)
+            .expect("HEFT cannot fail on +∞ memories");
+        let graph = Rc::clone(&huge_graph);
+        set.push(Bench {
+            id: "sim/peaks-100k".into(),
+            run: Box::new(move || {
+                let peaks = memory_peaks(&graph, &unbounded, &heft_schedule);
+                std::hint::black_box(peaks.max());
             }),
             min_samples: Some(3),
             setup: None,

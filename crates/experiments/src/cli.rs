@@ -191,7 +191,8 @@ pub fn reject_campaign_flags(options: &Options, binary: &str) {
 /// one, and a single solve is sequential), by the same
 /// never-silently-ignore rule as [`reject_exact_backend`]. The
 /// `MALS_THREADS` environment variable is a session-wide default, not a
-/// flag, so it is not rejected.
+/// flag, so a thread count there is accepted; one that does not parse
+/// exits 2 as in [`parallel_or_exit`].
 pub fn reject_threads(options: &Options, binary: &str) {
     if options.threads.is_some() {
         eprintln!(
@@ -200,6 +201,7 @@ pub fn reject_threads(options: &Options, binary: &str) {
         );
         std::process::exit(2);
     }
+    parallel_or_exit(options);
 }
 
 /// `--exact-backend lp-export` handler shared by the binaries: prints the

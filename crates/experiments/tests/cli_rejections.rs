@@ -29,6 +29,19 @@ fn minmem_rejects_threads() {
     assert_rejected(&output, "--threads");
 }
 
+/// `minmem` reads no thread count, but a `MALS_THREADS` that does not parse
+/// is still refused rather than ignored. Only the child's environment is
+/// set.
+#[test]
+fn minmem_rejects_an_invalid_mals_threads() {
+    let output = Command::new(env!("CARGO_BIN_EXE_minmem"))
+        .args(["--tasks", "6", "--dags", "1"])
+        .env("MALS_THREADS", "two")
+        .output()
+        .expect("spawn the binary");
+    assert_rejected(&output, "MALS_THREADS");
+}
+
 /// `replay` has no `--threads` flag: a replay is one sequential solve.
 #[test]
 fn replay_rejects_threads() {

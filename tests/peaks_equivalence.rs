@@ -1,22 +1,41 @@
 //! Equivalence guard for the memory-peaks sweep.
 //!
 //! `mals_sim::memory_profiles` and `memory_peaks` share one event builder
-//! sorted by a stable LSD radix sort, and `memory_peaks` folds the sorted
-//! events straight to the maximum instead of building staircases. None of
-//! that may move a bit: this suite keeps a verbatim copy of the previous
-//! path (stable comparison sort on `total_cmp`, then
+//! that sorts bounded runs of edges by a stable LSD radix sort and merges
+//! the runs as it folds them, and `memory_peaks` folds the sorted events
+//! straight to the maximum instead of building staircases. None of that
+//! may move a bit: this suite keeps a verbatim copy of the previous path
+//! (stable comparison sort on `total_cmp`, then
 //! `Staircase::from_breakpoints`) as its oracle, and compares `to_bits` of
 //! the peaks and of every profile breakpoint on HEFT, MinMin, MemHEFT and
 //! MemMinMin schedules of random DAGs at α ∈ {0.5, 1}, plus hand-made edge
-//! cases.
+//! cases and a 5 · 10⁴-task DAG that spans several runs.
+//!
+//! With LargeRandSet's integer file sizes every order of the simultaneous
+//! events gives the same sums, so a sweep that broke their order would
+//! still match. A second family divides every size by 10: its sums depend
+//! on the order, and the suite shows it by checking that shuffling the
+//! order of equal-time events changes some peak.
 
 use mals::gen::{daggen, DaggenParams, WeightRanges};
 use mals::prelude::*;
 use mals::sim::{memory_profiles, CommPlacement, MemoryPeaks, TaskPlacement};
 use mals::util::{approx_eq, Staircase, EPSILON};
 
-/// The previous `memory_profiles`, verbatim.
+/// The previous `memory_profiles`, verbatim: [`tie_shuffled_profiles`]
+/// without a shuffle.
 fn oracle_profiles(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) -> [Staircase; 2] {
+    tie_shuffled_profiles(graph, platform, schedule, None)
+}
+
+/// [`oracle_profiles`], except that with `shuffle` the events are shuffled
+/// before the stable sort, so equal-time events are added in random order.
+fn tie_shuffled_profiles(
+    graph: &TaskGraph,
+    platform: &Platform,
+    schedule: &Schedule,
+    mut shuffle: Option<&mut Pcg64>,
+) -> [Staircase; 2] {
     let mut events: [Vec<(f64, f64)>; 2] = [Vec::new(), Vec::new()];
     let mut resident = |mem: Memory, from: f64, until: f64, size: f64| {
         let from = from.max(0.0);
@@ -51,6 +70,9 @@ fn oracle_profiles(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) 
         if ev.is_empty() {
             return Staircase::constant(0.0);
         }
+        if let Some(rng) = shuffle.as_deref_mut() {
+            rng.shuffle(&mut ev);
+        }
         ev.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut bps: Vec<(f64, f64)> = Vec::with_capacity(ev.len() + 1);
         bps.push((0.0, 0.0));
@@ -70,7 +92,10 @@ fn oracle_profiles(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) 
 
 /// The previous `memory_peaks`, verbatim (over the oracle profiles).
 fn oracle_peaks(graph: &TaskGraph, platform: &Platform, schedule: &Schedule) -> MemoryPeaks {
-    let profiles = oracle_profiles(graph, platform, schedule);
+    peaks_of(oracle_profiles(graph, platform, schedule))
+}
+
+fn peaks_of(profiles: [Staircase; 2]) -> MemoryPeaks {
     MemoryPeaks {
         blue: profiles[Memory::Blue.index()].max_value().max(0.0),
         red: profiles[Memory::Red.index()].max_value().max(0.0),
@@ -98,21 +123,51 @@ fn assert_matches_oracle(graph: &TaskGraph, platform: &Platform, schedule: &Sche
     }
 }
 
-#[test]
-fn random_schedules_match_the_oracle_bit_for_bit() {
+/// A LargeRandSet DAG of `size` tasks; with `fractional`, every file size
+/// is divided by 10, so most sizes are not dyadic fractions.
+fn random_dag(size: usize, seed: u64, fractional: bool) -> TaskGraph {
+    let mut graph = daggen::generate(
+        &DaggenParams::large_rand().with_size(size),
+        &WeightRanges::large_rand(),
+        &mut Pcg64::new(seed),
+    );
+    if fractional {
+        for edge in graph.edge_ids().collect::<Vec<_>>() {
+            graph.edge_mut(edge).size /= 10.0;
+        }
+    }
+    graph
+}
+
+/// Checks HEFT, MinMin, MemHEFT and MemMinMin schedules of 200 random DAGs
+/// against the oracle; returns how many schedules were checked and on how
+/// many a shuffled order of equal-time events changed a peak.
+fn check_random_family(fractional: bool) -> (usize, usize) {
     let solvers: [(&str, &dyn Scheduler); 2] = [
         ("memheft", &MemHeft::new()),
         ("memminmin", &MemMinMin::new()),
     ];
-    let mut checked = 0usize;
+    let mut tie_rng = Pcg64::new(0x7135);
+    let (mut checked, mut order_sensitive) = (0, 0);
+    let mut check = |graph: &TaskGraph, platform: &Platform, schedule: &Schedule, what: &str| {
+        assert_matches_oracle(graph, platform, schedule, what);
+        let shuffled = peaks_of(tie_shuffled_profiles(
+            graph,
+            platform,
+            schedule,
+            Some(&mut tie_rng),
+        ));
+        let want = oracle_peaks(graph, platform, schedule);
+        if (shuffled.blue.to_bits(), shuffled.red.to_bits())
+            != (want.blue.to_bits(), want.red.to_bits())
+        {
+            order_sensitive += 1;
+        }
+        checked += 1;
+    };
     for seed in 0..200u64 {
-        let mut rng = Pcg64::new(seed);
         let size = 10 + (seed as usize * 7) % 60;
-        let graph = daggen::generate(
-            &DaggenParams::large_rand().with_size(size),
-            &WeightRanges::large_rand(),
-            &mut rng,
-        );
+        let graph = random_dag(size, seed, fractional);
         let base = Platform::single_pair(0.0, 0.0);
         let unbounded = base.unbounded();
         for (name, oblivious) in [
@@ -120,13 +175,12 @@ fn random_schedules_match_the_oracle_bit_for_bit() {
             ("minmin", MinMin::new().schedule(&graph, &unbounded)),
         ] {
             let schedule = oblivious.expect("memory-oblivious solvers cannot fail");
-            assert_matches_oracle(
+            check(
                 &graph,
                 &unbounded,
                 &schedule,
                 &format!("seed {seed} {name}"),
             );
-            checked += 1;
         }
         let heft = Heft::new().schedule(&graph, &unbounded).unwrap();
         let reference = memory_peaks(&graph, &unbounded, &heft).max();
@@ -136,13 +190,53 @@ fn random_schedules_match_the_oracle_bit_for_bit() {
             for (name, solver) in solvers {
                 if let Ok(schedule) = solver.schedule(&graph, &bounded) {
                     let what = format!("seed {seed} {name} alpha {alpha}");
-                    assert_matches_oracle(&graph, &bounded, &schedule, &what);
-                    checked += 1;
+                    check(&graph, &bounded, &schedule, &what);
                 }
             }
         }
     }
+    (checked, order_sensitive)
+}
+
+#[test]
+fn random_schedules_match_the_oracle_bit_for_bit() {
+    let (checked, _) = check_random_family(false);
     assert!(checked >= 800, "only {checked} schedules checked");
+}
+
+#[test]
+fn fractional_sizes_match_the_oracle_and_see_the_order() {
+    let (checked, order_sensitive) = check_random_family(true);
+    assert!(checked >= 800, "only {checked} schedules checked");
+    // The family can tell a wrong order of simultaneous events apart: on
+    // some schedule, adding them in another order moves a peak's bits.
+    assert!(
+        order_sensitive > 0,
+        "no peak depends on the order of equal-time events"
+    );
+}
+
+/// A 5 · 10⁴-task DAG has more than 3 · 2¹⁸ edges, so the sweep sorts it in at
+/// least four runs and merges them; its HEFT and MemHEFT schedules
+/// (fractional sizes) must still match the one-sort oracle. Release builds
+/// only (CI's release oracle step runs this suite): the debug build takes
+/// about 20 s on it.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 20 s in a debug build; run with --release"
+)]
+fn a_dag_of_several_runs_matches_the_oracle_bit_for_bit() {
+    let graph = random_dag(50_000, 0x5EED, true);
+    assert!(graph.n_edges() > 3 << 18, "{} edges", graph.n_edges());
+    let base = Platform::single_pair(0.0, 0.0);
+    let unbounded = base.unbounded();
+    let heft = Heft::new().schedule(&graph, &unbounded).unwrap();
+    assert_matches_oracle(&graph, &unbounded, &heft, "5·10⁴ tasks, heft");
+    let bound = memory_peaks(&graph, &unbounded, &heft).max();
+    let bounded = base.with_memory_bounds(bound, bound);
+    let memheft = MemHeft::new().schedule(&graph, &bounded).unwrap();
+    assert_matches_oracle(&graph, &bounded, &memheft, "5·10⁴ tasks, memheft");
 }
 
 /// A two-task chain `a → b` carrying one file of the given size.
